@@ -122,10 +122,17 @@ def emit_to_sink(value, sink: SinkId, out: DocumentBuilder,
 
 
 def strip_annotations(document: str, registry: SinkRegistry) -> str:
-    """Remove every registered token, leaving everything else untouched."""
-    for token in registry.tokens():
-        document = document.replace(token, "")
-    for token in registry.tokens():
-        if token in document:
+    """Remove every registered token, leaving everything else untouched.
+
+    One pass over the document removes every registered occurrence: the
+    prefix ``xtnt`` holds no hex digit, so no token occurrence can
+    overlap another match of ``TOKEN_RE``.  A registered token that is
+    left afterwards was formed by a removal (a token nested inside
+    another) and raises ``UnknownResidue``.
+    """
+    clean = TOKEN_RE.sub(
+        lambda m: "" if m.group(0) in registry else m.group(0), document)
+    for token in TOKEN_RE.findall(clean):
+        if token in registry:
             raise UnknownResidue(f"token {token} survived removal")
-    return document
+    return clean

@@ -424,10 +424,9 @@ def analyze(document: str, registry) -> list[Finding]:
     """
     browser = ModelBrowser(registry)
     browser.html_scan(document, ())
-    found = {finding.token for finding in browser.findings}
-    for token in sorted(browser.tokens):
-        if token not in found:
-            raise MissingToken(token)
+    missing = browser.tokens - {finding.token for finding in browser.findings}
+    if missing:
+        raise MissingToken(min(missing))
     return list(browser.findings)
 
 

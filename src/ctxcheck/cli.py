@@ -9,7 +9,7 @@ Subcommands:
 
 Exit codes: 0 when no insufficient sanitization was found, 1 when at
 least one was, 2 on operational errors (unparseable input, unknown
-sanitizers, tokens missing from the document).
+sanitizers, tokens missing from the document or nested inside another).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .annotations import strip_annotations
+from .annotations import UnknownResidue, strip_annotations
 from .browser import MissingToken, analyze
 from .bundle import Bundle, BundleError, dump_bundle, read_bundle
 from .contexts import format_sequence, sequence_names
@@ -155,8 +155,8 @@ def _analyze_bundle(bundle: Bundle, args) -> int:
         with open(args.clean_out, "w", encoding="utf-8") as handle:
             handle.write(clean)
     if args.format == "json":
-        print(json.dumps(_report_dict(findings, verdicts, summary, clean),
-                         indent=2))
+        # Without indent, json uses its C encoder: one line, same value.
+        print(json.dumps(_report_dict(findings, verdicts, summary, clean)))
     else:
         print(_report_text(verdicts, summary))
     return 1 if summary.incorrect else 0
@@ -243,7 +243,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (TemplateSyntaxError, BundleError, ContextMapError,
-            UnknownSanitizer, MissingToken) as exc:
+            UnknownSanitizer, MissingToken, UnknownResidue) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

@@ -68,7 +68,9 @@ class Verdict:
     pattern: BugPattern | None = None
 
     def __post_init__(self):
-        assert (self.pattern is None) == self.sufficient
+        if (self.pattern is None) != self.sufficient:
+            raise ValueError(
+                "a verdict has a bug pattern exactly when it is insufficient")
 
 
 def default_context_map() -> ContextMap:
@@ -207,10 +209,14 @@ def verify(findings: list[Finding], registry: SinkRegistry,
 
     Two verdicts are the same when they share the sanitization triple and
     the context sequence.  A value is flawed when any of its chains is
-    insufficient for the context it landed in.
+    insufficient for the context it landed in.  Sufficiency and the bug
+    pattern depend only on the chain and the context, so each distinct
+    pair is decided once.
     """
     verdicts: list[Verdict] = []
     seen: set[tuple[SanitizationTriple, ContextSequence]] = set()
+    decided: dict[tuple[SanitizerChain, ContextSequence],
+                  tuple[bool, BugPattern | None]] = {}
     for finding in findings:
         entry = registry[finding.token]
         for origin, chain in sorted(entry.taint):
@@ -219,8 +225,12 @@ def verify(findings: list[Finding], registry: SinkRegistry,
             if key in seen:
                 continue
             seen.add(key)
-            ok = sufficient(chain, finding.context, cmap)
-            pattern = None if ok else classify(chain, finding.context)
+            pair = (chain, finding.context)
+            if pair not in decided:
+                ok = sufficient(chain, finding.context, cmap)
+                decided[pair] = (
+                    ok, None if ok else classify(chain, finding.context))
+            ok, pattern = decided[pair]
             verdicts.append(Verdict(finding.token, triple, finding.context,
                                     ok, pattern))
     return verdicts

@@ -2,7 +2,8 @@
 
 The sufficiency oracle enumerates the full concatenation product of the
 handled-context sets, which is exactly the definition the fast
-implementation must agree with.  It stays deliberately naive.
+implementation must agree with.  It stays deliberately naive.  The
+strip oracle is the original one-replace-per-token annotation strip.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from ctxcheck.annotations import UnknownResidue
 from ctxcheck.contexts import BrowserContext
 
 # Alphabet for randomized maps and contexts; excludes the two contexts
@@ -77,3 +79,36 @@ def random_case(rng: random.Random, cmap: dict):
 
 def random_token(rng: random.Random) -> str:
     return "xtnt" + "%032x" % rng.getrandbits(128)
+
+
+def replace_loop_strip(document: str, registry) -> str:
+    """Reference annotation strip: one whole-document replace per token.
+
+    Tokens are removed one after another in registry order, so a token
+    formed by an earlier removal may be removed by a later one; any
+    registered token still present afterwards raises UnknownResidue.
+    """
+    for token in registry.tokens():
+        document = document.replace(token, "")
+    for token in registry.tokens():
+        if token in document:
+            raise UnknownResidue(f"token {token} survived removal")
+    return document
+
+
+def remove_literal_occurrences(document: str, tokens) -> str:
+    """Remove every occurrence of any of ``tokens`` present in the
+    original document at once, found by plain substring search; text
+    that a removal joins into a token is kept."""
+    spans = []
+    for token in tokens:
+        start = document.find(token)
+        while start != -1:
+            spans.append((start, start + len(token)))
+            start = document.find(token, start + len(token))
+    kept, pos = [], 0
+    for start, end in sorted(spans):
+        kept.append(document[pos:start])
+        pos = end
+    kept.append(document[pos:])
+    return "".join(kept)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ctxcheck.annotations import (
     TOKEN_RE,
@@ -15,6 +17,9 @@ from ctxcheck.annotations import (
 )
 from ctxcheck.sanitizers import SANITIZERS
 from ctxcheck.taint import make_source, untainted
+from ctxcheck.template import parse_template, render
+
+from oracles import remove_literal_occurrences, replace_loop_strip
 
 
 def test_token_shape():
@@ -114,6 +119,73 @@ def test_strip_flags_residue_from_builder_misuse():
     crafted = token[:10] + other + token[10:]
     with pytest.raises(UnknownResidue):
         strip_annotations(crafted, registry)
+
+
+def test_strip_flags_token_revealed_whatever_the_registry_order():
+    registry = SinkRegistry(seed=0)
+    token = registry.register(frozenset({("o", ())}), "s")
+    other = SinkRegistry(seed=1).new_token()
+    registry.add(other, frozenset({("o", ())}), "s")
+    # Removing `token` joins the halves of `other` around it.  The
+    # replace loop happens to remove `other` afterwards because it comes
+    # later in the registry; a single pass reports it whatever the order.
+    crafted = other[:10] + token + other[10:]
+    assert replace_loop_strip(crafted, registry) == ""
+    with pytest.raises(UnknownResidue):
+        strip_annotations(crafted, registry)
+
+
+_REGISTERED = SinkRegistry(seed=7)
+for _ in range(3):
+    _REGISTERED.register(frozenset({("o", ())}), "s")
+_UNREGISTERED = [SinkRegistry(seed=8 + i).new_token() for i in range(2)]
+_TOKENS = list(_REGISTERED.tokens()) + _UNREGISTERED
+
+
+def _nested(outer: str, cut: int, inner: str) -> str:
+    return outer[:cut] + inner + outer[cut:]
+
+
+_pieces = st.one_of(
+    st.text(alphabet="xtn0123456789abcdef<>\" =", max_size=8),
+    st.sampled_from(_TOKENS),
+    st.builds(_nested, st.sampled_from(_TOKENS),
+              st.integers(min_value=0, max_value=36),
+              st.sampled_from(_TOKENS)),
+    st.builds(lambda token, cut: token[:cut], st.sampled_from(_TOKENS),
+              st.integers(min_value=1, max_value=35)),
+)
+
+
+@given(st.lists(_pieces, max_size=10))
+def test_strip_matches_replace_loop_oracle(pieces):
+    document = "".join(pieces)
+    registered = _REGISTERED.tokens()
+    literal = remove_literal_occurrences(document, registered)
+    try:
+        expected = replace_loop_strip(document, _REGISTERED)
+    except UnknownResidue:
+        expected = None
+    try:
+        clean = strip_annotations(document, _REGISTERED)
+    except UnknownResidue:
+        # Raised exactly when removing the document's own occurrences
+        # joins text into a registered token.
+        assert any(token in literal for token in registered)
+        return
+    assert not any(token in clean for token in registered)
+    assert clean == literal == expected
+
+
+def test_strip_at_scale_equals_unannotated_render():
+    rows = ('<a href="/p?q={{v.q}}" title="{{v.t}}">{{v.t}}</a>'
+            '<script>var s = "{{v.s|escapejs}}";</script>\n')
+    template = parse_template(rows * 5000)
+    env = {"v": {"q": "a&b c", "t": 'x"y<z>', "s": "it's"}}
+    document, registry = render(template, env, seed=3)
+    plain, _ = render(template, env, seed=3, annotate=False)
+    assert len(registry) == 20000
+    assert strip_annotations(document, registry) == plain
 
 
 def test_tokens_pass_through_every_sanitizer_unchanged():

@@ -10,6 +10,7 @@ from corpus import (
     FLAWED_SCRIPT_STRING,
     HREF_URI,
     JS_CODE_ARGUMENT,
+    TEMPLATE_CASES,
 )
 
 
@@ -39,6 +40,32 @@ def test_check_flawed_fragment(tmp_path, capsys):
     assert report["findings"][0]["token"].startswith("xtnt")
     assert report["findings"][0]["token"] in report["findings"][0]["excerpt"]
     assert report["findings"][0]["token"] not in report["clean_document"]
+
+
+def test_json_report_is_one_line_with_expected_verdicts(tmp_path, capsys):
+    verdict_keys = {"token", "origin", "chain", "sink", "context",
+                    "sufficient", "pattern"}
+    for case in TEMPLATE_CASES:
+        template, env = _write_case(tmp_path, case)
+        main(["check", template, env, "--format", "json"])
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.endswith("\n"), case.name
+        report = json.loads(out)
+        assert set(report) == {"summary", "findings", "patterns",
+                               "verdicts", "clean_document"}
+        by_sink = {}
+        for verdict in report["verdicts"]:
+            assert set(verdict) == verdict_keys
+            by_sink[verdict["sink"]] = (verdict["sufficient"],
+                                        verdict["pattern"],
+                                        tuple(verdict["context"]))
+        assert by_sink == case.expected, case.name
+
+
+def test_render_bundle_stays_indented(tmp_path, capsys):
+    template, env = _write_case(tmp_path, FLAWED_SCRIPT_STRING)
+    assert main(["render", template, env]) == 0
+    assert capsys.readouterr().out.startswith('{\n  "document": ')
 
 
 def test_check_corrected_fragment(tmp_path, capsys):
@@ -148,6 +175,23 @@ def test_analyze_missing_token_is_operational_error(tmp_path, capsys):
     data["document"] = data["document"].replace(token, "")
     bundle_path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["analyze", str(bundle_path)]) == 2
+
+
+def test_analyze_nested_token_is_operational_error(tmp_path, capsys):
+    # `outer` occurs once on its own and once split around `inner`;
+    # stripping both leaves a second `outer` behind.
+    outer = "xtnt" + "a" * 32
+    inner = "xtnt" + "b" * 32
+    taints = [{"origin": "get.q", "chain": []}]
+    bundle = {
+        "document": f"<p>{outer}</p><p>{outer[:9]}{inner}{outer[9:]}</p>",
+        "registry": {inner: {"sink": "page:1", "taints": taints},
+                     outer: {"sink": "page:0", "taints": taints}},
+    }
+    bundle_path = tmp_path / "nested.json"
+    bundle_path.write_text(json.dumps(bundle), encoding="utf-8")
+    assert main(["analyze", str(bundle_path)]) == 2
+    assert outer in capsys.readouterr().err
 
 
 def test_exit_code_two_on_template_syntax_error(tmp_path, capsys):

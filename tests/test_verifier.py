@@ -13,6 +13,7 @@ from ctxcheck.verifier import (
     ContextMapError,
     SanitizationTriple,
     UnknownSanitizer,
+    Verdict,
     aggregate,
     classify,
     default_context_map,
@@ -130,6 +131,43 @@ def test_verify_deduplicates_by_triple_and_context():
     token = registry.register(frozenset({("a", ())}), "sink:0")
     findings = [Finding(token, (C.HtmlText,)), Finding(token, (C.HtmlText,))]
     assert len(verify(findings, registry, CMAP)) == 1
+
+
+def test_verify_decides_each_chain_and_context_pair_once(monkeypatch):
+    calls = []
+
+    def counting(chain, context, cmap):
+        calls.append((chain, context))
+        return sufficient(chain, context, cmap)
+
+    monkeypatch.setattr("ctxcheck.verifier.sufficient", counting)
+    rng = random.Random(4)
+    chains = [(), ("html_escape",), ("js_escape", "html_escape")]
+    contexts = [(C.HtmlText,), (C.HtmlAttrDq, C.Uri),
+                (C.HtmlScriptData, C.JsStringDq)]
+    registry = SinkRegistry(seed=0)
+    findings = []
+    for i in range(60):
+        taint = frozenset({(f"o{i % 5}", rng.choice(chains))})
+        token = registry.register(taint, f"s{i % 7}")
+        findings.append(Finding(token, rng.choice(contexts)))
+    verdicts = verify(findings, registry, CMAP)
+    assert len(calls) == len(set(calls))
+    assert {(v.triple.chain, v.context) for v in verdicts} == set(calls)
+    for v in verdicts:
+        ok = sufficient(v.triple.chain, v.context, CMAP)
+        assert v.sufficient == ok
+        assert v.pattern == (None if ok else classify(v.triple.chain, v.context))
+
+
+def test_verdict_rejects_pattern_on_sufficient_verdict():
+    triple = SanitizationTriple("o", ("html_escape",), "s")
+    with pytest.raises(ValueError):
+        Verdict("xtnt" + "0" * 32, triple, (C.HtmlText,), sufficient=True,
+                pattern=BugPattern.HtmlInUri)
+    with pytest.raises(ValueError):
+        Verdict("xtnt" + "0" * 32, triple, (C.HtmlAttrDq, C.Uri),
+                sufficient=False)
 
 
 def test_unknown_and_script_src_contexts_never_verify():
