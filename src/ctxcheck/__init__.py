@@ -7,14 +7,13 @@ context, classifying the mismatches.
 """
 
 from .annotations import (
-    DocumentBuilder,
     SinkRegistry,
     UnknownResidue,
     emit_to_sink,
     strip_annotations,
 )
 from .browser import MissingToken, ModelBrowser, analyze
-from .bundle import Bundle, BundleError, assemble_chunks, dump_bundle, load_bundle
+from .bundle import Bundle, BundleError, dump_bundle, load_bundle
 from .contexts import BrowserContext, ContextSequence, Finding
 from .decoders import css_unescape, entity_decode, js_string_decode, percent_decode
 from .sanitizers import html_escape, js_escape, mark_safe, url_encode
@@ -56,7 +55,6 @@ __all__ = [
     "BundleError",
     "ContextMap",
     "ContextSequence",
-    "DocumentBuilder",
     "EMPTY_TAINT",
     "Environment",
     "Finding",
@@ -75,7 +73,6 @@ __all__ = [
     "Verdict",
     "aggregate",
     "analyze",
-    "assemble_chunks",
     "char_roundtrip",
     "classify",
     "concat",

@@ -93,20 +93,7 @@ class SinkRegistry:
         self._entries[token] = RegistryEntry(frozenset(taint), sink)
 
 
-class DocumentBuilder:
-    """Accumulates output chunks for one rendered document."""
-
-    def __init__(self):
-        self._chunks: list[str] = []
-
-    def append(self, text: str) -> None:
-        self._chunks.append(text)
-
-    def build(self) -> str:
-        return "".join(self._chunks)
-
-
-def emit_to_sink(value, sink: SinkId, out: DocumentBuilder,
+def emit_to_sink(value, sink: SinkId, out: list[str],
                  registry: SinkRegistry) -> None:
     """Write a value to the output, annotating it if tainted.
 

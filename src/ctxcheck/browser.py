@@ -7,6 +7,13 @@ scanner, and the URI scanner can re-enter HTML or JavaScript through
 data: and javascript: schemes.  Each scanner on the path contributes one
 element to the context sequence of the tokens it classifies.
 
+Each language is a lexer table: one alternation regex whose named groups
+are the constructs that leave the language's default context, and the
+map ``_CONTEXT`` from group name to the context of the group's text.
+``ModelBrowser._lex`` runs a table over a text.  A group without a
+context (a start tag, a CSS separator or ``url(``) hands control back
+to its scanner, which acts on it and resumes lexing after it.
+
 The HTML scanner is deliberately forgiving.  Regions it cannot make
 sense of (tag and attribute names, declarations, unterminated
 constructs) are classified as Unknown rather than aborting the scan.
@@ -28,11 +35,114 @@ URI_ATTRIBUTES = frozenset(
     {"href", "src", "action", "formaction", "poster", "cite", "background", "data"}
 )
 
-_WS = " \t\n\r\f"
-_TAG_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9:_-]*")
+# Every cycle through a nested document (html -> attribute -> uri ->
+# html, through data:text/html) adds at least two contexts and several
+# stack frames, so a deep enough chain of data: URIs would exhaust the
+# interpreter's recursion limit.  html_scan therefore classifies a
+# document whose context prefix is already this long as Unknown instead
+# of parsing it: the tokens in it are still reported, and no sanitizer
+# handles Unknown.  Real pages nest a few levels.
+MAX_NESTING = 64
+
+_WS = r" \t\n\r\f"
 _JS_URI_RE = re.compile(r"\s*javascript:(.*)\Z", re.I | re.S)
 _DATA_URI_RE = re.compile(r"\s*data:([^,]*),(.*)\Z", re.I | re.S)
 _EXCERPT_MARGIN = 40
+
+
+def _quoted(quote: str, group: str, newline_ends: bool) -> str:
+    """Pattern of a quoted string with backslash escapes.
+
+    The text between the quotes is captured in ``group``.  A backslash
+    escapes any character, newlines included.  The string ends at the
+    closing quote, at an unescaped newline when ``newline_ends``, or at
+    the end of the text; the quote or newline is consumed but is not
+    part of the body.
+    """
+    newline = r"\n" if newline_ends else ""
+    plain = rf"[^{quote}\\{newline}]*"
+    close = rf"{quote}|\n" if newline_ends else quote
+    return (rf"{quote}(?P<{group}>{plain}(?:\\[\s\S]{plain})*\\?)"
+            rf"(?:{close}|\Z)")
+
+
+# A /* */ comment that runs to the end of the text when unclosed.
+_BLOCK_COMMENT = r"/\*(?P<%s>[^*]*(?:\*(?!/)[^*]*)*)(?:\*/)?"
+
+_HTML = re.compile("|".join([
+    r"<!--(?P<html_comment>[^-]*(?:-(?!->)[^-]*)*)(?:-->)?",
+    r"(?P<declaration><[!?][^>]*)>?",
+    r"</(?P<end_tag>[^>]*)>",
+    r"(?P<unclosed_end_tag></[\s\S]*)",
+    r"<(?P<start_tag>[a-zA-Z][a-zA-Z0-9:_-]*)",
+    r"(?P<stray_lt><)",
+]))
+
+# One attribute, or the ">" that closes the tag, after skipping
+# whitespace, "/" and stray "=".  An unquoted value may be empty.
+_ATTR_RE = re.compile(rf"""[{_WS}/=]*(?:
+    (?P<tag_close>>)
+  | (?P<name>[^{_WS}/=>]+)[{_WS}]*
+    (?:=[{_WS}]*(?:"(?P<attr_dq>[^"]*)"|'(?P<attr_sq>[^']*)'
+                 |(?P<unclosed_value>["'])|(?P<attr_unq>[^{_WS}>]*)))?
+)?""", re.X)
+
+# Raw text elements end at "</name" followed by whitespace, "/" or ">".
+_RAW_TEXT_END = {
+    tag: re.compile(rf"</{tag}(?=[{_WS}/>]|\Z)", re.I) for tag in ("script", "style")
+}
+
+_JS = re.compile("|".join([
+    _quoted("'", "js_sq", newline_ends=True),
+    _quoted('"', "js_dq", newline_ends=True),
+    _quoted("`", "js_template", newline_ends=False),
+    r"//(?P<js_line_comment>[^\n]*)",
+    _BLOCK_COMMENT % "js_block_comment",
+]))
+
+# url( payloads: quoted, or bare up to ")"; whatever follows a closing
+# quote up to ")" is skipped.
+_CSS_URL = "".join([
+    rf"(?i:url)\([{_WS}]*(?:",
+    _quoted('"', "url_dq", newline_ends=False), "|",
+    _quoted("'", "url_sq", newline_ends=False), "|",
+    r"(?P<url_bare>[^)]*))[^)]*\)?",
+])
+_CSS_COMMON = [
+    _BLOCK_COMMENT % "css_comment",
+    _quoted('"', "css_dq", newline_ends=False),
+    _quoted("'", "css_sq", newline_ends=False),
+    _CSS_URL,
+    r"(?P<value_end>[;{}])",
+]
+# Table and default context outside declaration values (selectors and
+# property names, where ":" starts a value) and inside them.
+_CSS = {
+    False: (re.compile("|".join(_CSS_COMMON + [r"(?P<value_start>:)"])),
+            BrowserContext.Unknown),
+    True: (re.compile("|".join(_CSS_COMMON)), BrowserContext.CssDeclValue),
+}
+
+_CONTEXT = {
+    "html_comment": BrowserContext.HtmlComment,
+    "declaration": BrowserContext.Unknown,
+    "end_tag": BrowserContext.Unknown,
+    "unclosed_end_tag": BrowserContext.Unknown,
+    # A "<" that starts no construct is character data.
+    "stray_lt": BrowserContext.HtmlText,
+    "attr_dq": BrowserContext.HtmlAttrDq,
+    "attr_sq": BrowserContext.HtmlAttrSq,
+    "attr_unq": BrowserContext.HtmlAttrUnq,
+    "js_sq": BrowserContext.JsStringSq,
+    "js_dq": BrowserContext.JsStringDq,
+    # Template literals count as double-quoted strings.
+    "js_template": BrowserContext.JsStringDq,
+    "js_line_comment": BrowserContext.JsComment,
+    "js_block_comment": BrowserContext.JsComment,
+    "css_comment": BrowserContext.CssComment,
+    "css_dq": BrowserContext.CssString,
+    "css_sq": BrowserContext.CssString,
+}
 
 
 class MissingToken(Exception):
@@ -43,24 +153,16 @@ class MissingToken(Exception):
         self.token = token
 
 
-def _token_set(registry) -> frozenset:
-    if registry is None:
-        return frozenset()
-    if isinstance(registry, SinkRegistry):
-        return frozenset(registry.tokens())
-    return frozenset(registry)
-
-
 class ModelBrowser:
     """One analysis pass over one document.
 
-    Collects findings for the given token set and counts scanner
+    Collects findings for the registry's tokens and counts scanner
     invocations, which equals the context-sequence length for a token
     reached through a chain of single-dispatch scans.
     """
 
-    def __init__(self, tokens):
-        self.tokens = _token_set(tokens)
+    def __init__(self, registry: SinkRegistry):
+        self.tokens = frozenset(registry.tokens())
         self.findings: list[Finding] = []
         self.scan_count = 0
 
@@ -76,129 +178,75 @@ class ModelBrowser:
             hi = min(len(segment), match.end() + _EXCERPT_MARGIN)
             self.findings.append(Finding(token, prefix + (ctx,), segment[lo:hi]))
 
+    def _lex(self, text: str, prefix: ContextSequence, table: re.Pattern,
+             default: BrowserContext, pos: int = 0) -> re.Match | None:
+        """Classify ``text[pos:]`` with a lexer table.
+
+        Text between matches gets ``default`` and each match's group
+        text the group's context.  The first match of a group without a
+        context ends the run and is returned, for the scanner to act on;
+        None means the text is done.
+        """
+        for match in table.finditer(text, pos):
+            self._classify(text[pos:match.start()], prefix, default)
+            ctx = _CONTEXT.get(match.lastgroup)
+            if ctx is None:
+                return match
+            self._classify(match[match.lastgroup], prefix, ctx)
+            pos = match.end()
+        self._classify(text[pos:], prefix, default)
+        return None
+
     # -- HTML -------------------------------------------------------------
 
     def html_scan(self, text: str, prefix: ContextSequence = ()) -> None:
         self.scan_count += 1
         prefix = tuple(prefix)
-        n = len(text)
-        i = 0
-        while i < n:
-            lt = text.find("<", i)
-            if lt == -1:
-                self._classify(text[i:], prefix, BrowserContext.HtmlText)
-                return
-            if lt > i:
-                self._classify(text[i:lt], prefix, BrowserContext.HtmlText)
-            if text.startswith("<!--", lt):
-                end = text.find("-->", lt + 4)
-                if end == -1:
-                    self._classify(text[lt + 4:], prefix, BrowserContext.HtmlComment)
-                    return
-                self._classify(text[lt + 4:end], prefix, BrowserContext.HtmlComment)
-                i = end + 3
-                continue
-            if text.startswith("<!", lt) or text.startswith("<?", lt):
-                # Declarations and processing instructions.
-                end = text.find(">", lt)
-                if end == -1:
-                    self._classify(text[lt:], prefix, BrowserContext.Unknown)
-                    return
-                self._classify(text[lt:end], prefix, BrowserContext.Unknown)
-                i = end + 1
-                continue
-            if text.startswith("</", lt):
-                end = text.find(">", lt)
-                if end == -1:
-                    self._classify(text[lt:], prefix, BrowserContext.Unknown)
-                    return
-                self._classify(text[lt + 2:end], prefix, BrowserContext.Unknown)
-                i = end + 1
-                continue
-            name_match = _TAG_NAME_RE.match(text, lt + 1)
-            if name_match is None:
-                # Stray "<" is character data.
-                i = lt + 1
-                continue
-            i = self._start_tag(text, lt, name_match, prefix)
-        return
-
-    def _start_tag(self, text: str, lt: int, name_match: re.Match,
-                   prefix: ContextSequence) -> int:
-        n = len(text)
-        tag = name_match.group(0).lower()
-        self._classify(name_match.group(0), prefix, BrowserContext.Unknown)
-        j = name_match.end()
-        attrs: list[tuple[str, str | None, str | None]] = []
-        closed = False
-        unterminated_from = None
-        while j < n:
-            while j < n and (text[j] in _WS or text[j] == "/"):
-                j += 1
-            if j >= n:
-                break
-            if text[j] == ">":
-                closed = True
-                j += 1
-                break
-            name_start = j
-            while j < n and text[j] not in " \t\n\r\f=/>":
-                j += 1
-            if j == name_start:
-                j += 1
-                continue
-            name = text[name_start:j]
-            while j < n and text[j] in _WS:
-                j += 1
-            value: str | None = None
-            quote: str | None = None
-            if j < n and text[j] == "=":
-                j += 1
-                while j < n and text[j] in _WS:
-                    j += 1
-                if j < n and text[j] in "\"'":
-                    q = text[j]
-                    vstart = j + 1
-                    vend = text.find(q, vstart)
-                    if vend == -1:
-                        # Unterminated value swallows the rest; cover the
-                        # whole attribute so its name is not lost either.
-                        unterminated_from = name_start
-                        j = n
-                        break
-                    value, quote = text[vstart:vend], q
-                    j = vend + 1
-                else:
-                    vstart = j
-                    while j < n and text[j] not in " \t\n\r\f>":
-                        j += 1
-                    value, quote = text[vstart:j], None
-            attrs.append((name, value, quote))
-        for name, value, quote in attrs:
-            self._attribute(tag, name, value, quote, prefix)
-        if unterminated_from is not None:
-            self._classify(text[unterminated_from:], prefix, BrowserContext.Unknown)
-            return n
-        if not closed:
-            return n
-        if tag == "script":
-            return self._raw_content(text, j, prefix, script=True)
-        if tag == "style":
-            return self._raw_content(text, j, prefix, script=False)
-        return j
-
-    def _attribute(self, tag: str, name: str, value: str | None,
-                   quote: str | None, prefix: ContextSequence) -> None:
-        self._classify(name, prefix, BrowserContext.Unknown)
-        if value is None:
+        if len(prefix) >= MAX_NESTING:
+            self._classify(text, prefix, BrowserContext.Unknown)
             return
-        if quote == '"':
-            ctx = BrowserContext.HtmlAttrDq
-        elif quote == "'":
-            ctx = BrowserContext.HtmlAttrSq
+        pos = 0
+        while (tag := self._lex(text, prefix, _HTML, BrowserContext.HtmlText,
+                                pos)) is not None:
+            pos = self._start_tag(text, tag, prefix)
+
+    def _start_tag(self, text: str, tag_match: re.Match,
+                   prefix: ContextSequence) -> int:
+        self._classify(tag_match["start_tag"], prefix, BrowserContext.Unknown)
+        tag = tag_match["start_tag"].lower()
+        pos = tag_match.end()
+        while (attr := _ATTR_RE.match(text, pos)).lastgroup not in (
+                None, "tag_close", "unclosed_value"):
+            self._attribute(tag, attr, prefix)
+            pos = attr.end()
+        if attr.lastgroup == "unclosed_value":
+            # Unterminated value swallows the rest; cover the whole
+            # attribute so its name is not lost either.
+            self._classify(text[attr.start("name"):], prefix,
+                           BrowserContext.Unknown)
+            return len(text)
+        if attr.lastgroup is None:  # the tag never closes
+            return len(text)
+        start = attr.end()
+        if tag not in _RAW_TEXT_END:
+            return start
+        # Raw text content is not entity-decoded.
+        close = _RAW_TEXT_END[tag].search(text, start)
+        end = len(text) if close is None else close.start()
+        if tag == "script":
+            self.js_scan(text[start:end], prefix + (BrowserContext.HtmlScriptData,))
         else:
-            ctx = BrowserContext.HtmlAttrUnq
-        decoded = entity_decode(value)
+            self.css_scan(text[start:end], prefix + (BrowserContext.HtmlStyleData,))
+        return end
+
+    def _attribute(self, tag: str, attr: re.Match,
+                   prefix: ContextSequence) -> None:
+        name = attr["name"]
+        self._classify(name, prefix, BrowserContext.Unknown)
+        ctx = _CONTEXT.get(attr.lastgroup)
+        if ctx is None:  # no value
+            return
+        decoded = entity_decode(attr[attr.lastgroup])
         lname = name.lower()
         if lname.startswith("on"):
             self.js_scan(decoded, prefix + (ctx,))
@@ -210,76 +258,12 @@ class ModelBrowser:
         else:
             self._classify(decoded, prefix, ctx)
 
-    def _raw_content(self, text: str, start: int, prefix: ContextSequence,
-                     script: bool) -> int:
-        # Raw text elements end at "</name" followed by whitespace, "/"
-        # or ">"; their content is not entity-decoded.
-        close_re = re.compile(r"</script" if script else r"</style", re.I)
-        end = len(text)
-        for candidate in close_re.finditer(text, start):
-            after = candidate.end()
-            if after >= len(text) or text[after] in _WS + "/>":
-                end = candidate.start()
-                break
-        content = text[start:end]
-        if script:
-            self.js_scan(content, prefix + (BrowserContext.HtmlScriptData,))
-        else:
-            self.css_scan(content, prefix + (BrowserContext.HtmlStyleData,))
-        return end
-
     # -- JavaScript --------------------------------------------------------
 
     def js_scan(self, text: str, prefix: ContextSequence = ()) -> None:
-        """Lex far enough to tell code, strings and comments apart.
-
-        Strings are terminal contexts; template literals count as
-        double-quoted strings.
-        """
+        """Lex far enough to tell code, strings and comments apart."""
         self.scan_count += 1
-        prefix = tuple(prefix)
-        n = len(text)
-        i = 0
-        seg = 0
-
-        def flush_code(upto: int) -> None:
-            if upto > seg:
-                self._classify(text[seg:upto], prefix, BrowserContext.JsCode)
-
-        while i < n:
-            ch = text[i]
-            if ch in "\"'`":
-                flush_code(i)
-                j = i + 1
-                while j < n:
-                    if text[j] == "\\":
-                        j += 2
-                        continue
-                    if text[j] == ch or (ch != "`" and text[j] == "\n"):
-                        break
-                    j += 1
-                ctx = (BrowserContext.JsStringSq if ch == "'"
-                       else BrowserContext.JsStringDq)
-                self._classify(text[i + 1:min(j, n)], prefix, ctx)
-                i = j + 1 if j < n else n
-                seg = i
-                continue
-            if ch == "/" and text.startswith("//", i):
-                flush_code(i)
-                end = text.find("\n", i + 2)
-                end = n if end == -1 else end
-                self._classify(text[i + 2:end], prefix, BrowserContext.JsComment)
-                i = seg = end
-                continue
-            if ch == "/" and text.startswith("/*", i):
-                flush_code(i)
-                close = text.find("*/", i + 2)
-                end = n if close == -1 else close
-                self._classify(text[i + 2:end], prefix, BrowserContext.JsComment)
-                i = seg = n if close == -1 else close + 2
-                continue
-            i += 1
-        flush_code(n)
+        self._lex(text, tuple(prefix), _JS, BrowserContext.JsCode)
 
     # -- CSS ----------------------------------------------------------------
 
@@ -292,83 +276,18 @@ class ModelBrowser:
         """
         self.scan_count += 1
         prefix = tuple(prefix)
-        n = len(text)
-        i = 0
-        seg = 0
+        pos = 0
         in_value = False
-
-        def flush(upto: int) -> None:
-            if upto > seg:
-                ctx = (BrowserContext.CssDeclValue if in_value
-                       else BrowserContext.Unknown)
-                self._classify(text[seg:upto], prefix, ctx)
-
-        while i < n:
-            ch = text[i]
-            if text.startswith("/*", i):
-                flush(i)
-                close = text.find("*/", i + 2)
-                end = n if close == -1 else close
-                self._classify(text[i + 2:end], prefix, BrowserContext.CssComment)
-                i = seg = n if close == -1 else close + 2
+        while (match := self._lex(text, prefix, *_CSS[in_value], pos)) is not None:
+            pos = match.end()
+            group = match.lastgroup
+            if group in ("value_start", "value_end"):
+                in_value = group == "value_start"
                 continue
-            if ch in "\"'":
-                flush(i)
-                j = i + 1
-                while j < n:
-                    if text[j] == "\\":
-                        j += 2
-                        continue
-                    if text[j] == ch:
-                        break
-                    j += 1
-                self._classify(text[i + 1:min(j, n)], prefix,
-                               BrowserContext.CssString)
-                i = j + 1 if j < n else n
-                seg = i
-                continue
-            if text[i:i + 4].lower() == "url(":
-                flush(i)
-                i = self._css_url(text, i + 4, prefix)
-                seg = i
-                continue
-            if ch == ":" and not in_value:
-                flush(i)
-                in_value = True
-                i += 1
-                seg = i
-                continue
-            if ch in ";{}":
-                flush(i)
-                in_value = False
-                i += 1
-                seg = i
-                continue
-            i += 1
-        flush(n)
-
-    def _css_url(self, text: str, start: int, prefix: ContextSequence) -> int:
-        n = len(text)
-        j = start
-        while j < n and text[j] in _WS:
-            j += 1
-        if j < n and text[j] in "\"'":
-            q = text[j]
-            k = j + 1
-            while k < n:
-                if text[k] == "\\":
-                    k += 2
-                    continue
-                if text[k] == q:
-                    break
-                k += 1
-            payload = text[j + 1:min(k, n)]
-            close = text.find(")", min(k, n))
-        else:
-            close = text.find(")", j)
-            payload = text[j:n if close == -1 else close].strip()
-        self.uri_scan(css_unescape(payload), prefix)
-        return n if close == -1 else close + 1
+            payload = match[group]
+            if group == "url_bare":
+                payload = payload.strip()
+            self.uri_scan(css_unescape(payload), prefix)
 
     # -- URI ------------------------------------------------------------------
 
@@ -415,7 +334,7 @@ class ModelBrowser:
         self._classify(text, prefix, BrowserContext.Uri)
 
 
-def analyze(document: str, registry) -> list[Finding]:
+def analyze(document: str, registry: SinkRegistry) -> list[Finding]:
     """Resolve a context sequence for every registered token occurrence.
 
     Raises MissingToken if a registered token never shows up; tokens in
@@ -428,28 +347,3 @@ def analyze(document: str, registry) -> list[Finding]:
     if missing:
         raise MissingToken(min(missing))
     return list(browser.findings)
-
-
-def html_scan(text: str, prefix: ContextSequence = (), registry=None) -> list[Finding]:
-    browser = ModelBrowser(registry)
-    browser.html_scan(text, prefix)
-    return browser.findings
-
-
-def js_scan(text: str, prefix: ContextSequence = (), registry=None) -> list[Finding]:
-    browser = ModelBrowser(registry)
-    browser.js_scan(text, prefix)
-    return browser.findings
-
-
-def css_scan(text: str, prefix: ContextSequence = (), registry=None) -> list[Finding]:
-    browser = ModelBrowser(registry)
-    browser.css_scan(text, prefix)
-    return browser.findings
-
-
-def uri_scan(text: str, prefix: ContextSequence = (), registry=None,
-             script_src: bool = False) -> list[Finding]:
-    browser = ModelBrowser(registry)
-    browser.uri_scan(text, prefix, script_src=script_src)
-    return browser.findings

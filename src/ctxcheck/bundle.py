@@ -24,15 +24,6 @@ class Bundle:
     registry: SinkRegistry
 
 
-def assemble_chunks(chunks) -> str:
-    """Concatenate response chunks in order.
-
-    Analysis of the result is identical to a monolithic document, even
-    when a chunk boundary falls inside an annotation token.
-    """
-    return "".join(chunks)
-
-
 def dump_bundle(document: str, registry: SinkRegistry) -> dict:
     """Serialize to the bundle shape; taints are sorted for determinism."""
     serialized = {}
@@ -55,7 +46,7 @@ def load_bundle(data) -> Bundle:
     if isinstance(document, list):
         if not all(isinstance(chunk, str) for chunk in document):
             raise BundleError("document chunks must be strings")
-        document = assemble_chunks(document)
+        document = "".join(document)
     elif not isinstance(document, str):
         raise BundleError("document must be a string or a list of chunks")
     raw_registry = data["registry"]

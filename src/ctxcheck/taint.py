@@ -41,13 +41,6 @@ class TrackingMode(enum.Enum):
     NO_NUMERIC = "no-numeric"
     NO_NUMERIC_NO_CONTAINER = "no-containers"
 
-    @classmethod
-    def from_name(cls, name: str) -> "TrackingMode":
-        for mode in cls:
-            if mode.value == name:
-                return mode
-        raise ValueError(f"unknown tracking mode {name!r}")
-
 
 @dataclass(frozen=True)
 class TaintedText:

@@ -15,7 +15,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any, Union
 
-from .annotations import DocumentBuilder, SinkId, SinkRegistry, emit_to_sink
+from .annotations import SinkId, SinkRegistry, emit_to_sink
 from .sanitizers import html_escape, js_escape, mark_safe, url_encode
 from .taint import (
     TaintedText,
@@ -146,7 +146,7 @@ def render(template: Template, env: Environment, *,
     for stripping them later.
     """
     registry = SinkRegistry(seed=seed)
-    out = DocumentBuilder()
+    out: list[str] = []
     for node in template.nodes:
         if isinstance(node, Literal):
             out.append(node.text)
@@ -160,4 +160,4 @@ def render(template: Template, env: Environment, *,
             emit_to_sink(value, node.site, out, registry)
         else:
             out.append(value.text)
-    return out.build(), registry
+    return "".join(out), registry

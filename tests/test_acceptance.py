@@ -11,9 +11,9 @@ import time
 
 import pytest
 
-from ctxcheck.annotations import DocumentBuilder, SinkRegistry, emit_to_sink, strip_annotations
+from ctxcheck.annotations import SinkRegistry, emit_to_sink, strip_annotations
 from ctxcheck.browser import analyze
-from ctxcheck.bundle import assemble_chunks
+from ctxcheck.bundle import dump_bundle, load_bundle
 from ctxcheck.cli import main
 from ctxcheck.decoders import css_unescape, entity_decode, js_string_decode, percent_decode
 from ctxcheck.taint import (
@@ -208,12 +208,11 @@ def test_criterion_6_context_resolution_table():
 
 def _flagged_through(transform, mode):
     registry = SinkRegistry(seed=0)
-    out = DocumentBuilder()
-    out.append("<p>")
+    out = ["<p>"]
     for value in transform(mode):
         emit_to_sink(value, "sink:0", out, registry)
     out.append("</p>")
-    verdicts = verify(analyze(out.build(), registry), registry, CMAP)
+    verdicts = verify(analyze("".join(out), registry), registry, CMAP)
     return any(not v.sufficient for v in verdicts)
 
 
@@ -246,7 +245,9 @@ def test_criterion_8_chunk_equivalence():
         points = sorted(cut for cut in cuts if 0 <= cut <= len(document))
         chunks = [document[a:b] for a, b in
                   zip([0, *points], [*points, len(document)])]
-        reassembled = assemble_chunks(chunks)
+        data = dump_bundle(document, registry)
+        data["document"] = chunks
+        reassembled = load_bundle(data).document
         assert reassembled == document
         findings = analyze(reassembled, registry)
         assert findings == base_findings, case.name

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from ctxcheck.annotations import (
     TOKEN_RE,
-    DocumentBuilder,
     RegistrationError,
     SinkRegistry,
     UnknownResidue,
@@ -37,17 +36,17 @@ def test_seeded_registries_produce_identical_tokens():
 
 def test_emit_untainted_appends_text_only():
     registry = SinkRegistry(seed=0)
-    out = DocumentBuilder()
+    out = []
     emit_to_sink(untainted("hi"), "sink", out, registry)
-    assert out.build() == "hi"
+    assert "".join(out) == "hi"
     assert len(registry) == 0
 
 
 def test_emit_tainted_prepends_fresh_token():
     registry = SinkRegistry(seed=0)
-    out = DocumentBuilder()
+    out = []
     emit_to_sink(make_source("hi", "o"), "sink", out, registry)
-    document = out.build()
+    document = "".join(out)
     assert len(registry) == 1
     token = registry.tokens()[0]
     assert document == token + "hi"
@@ -57,7 +56,7 @@ def test_emit_tainted_prepends_fresh_token():
 
 def test_same_value_emitted_twice_gets_two_tokens():
     registry = SinkRegistry(seed=0)
-    out = DocumentBuilder()
+    out = []
     value = make_source("hi", "o")
     emit_to_sink(value, "s1", out, registry)
     emit_to_sink(value, "s2", out, registry)
@@ -68,7 +67,7 @@ def test_same_value_emitted_twice_gets_two_tokens():
 
 def test_registry_size_equals_tainted_emissions():
     registry = SinkRegistry(seed=0)
-    out = DocumentBuilder()
+    out = []
     for i in range(5):
         emit_to_sink(make_source(str(i), "o"), f"s{i}", out, registry)
     emit_to_sink(untainted("clean"), "s", out, registry)
@@ -88,11 +87,11 @@ def test_registry_rejects_untainted_and_duplicates():
 
 def test_strip_removes_token_keeps_payload():
     registry = SinkRegistry(seed=0)
-    out = DocumentBuilder()
+    out = []
     out.append("a ")
     emit_to_sink(make_source("X", "o"), "s", out, registry)
     out.append(" b")
-    assert strip_annotations(out.build(), registry) == "a X b"
+    assert strip_annotations("".join(out), registry) == "a X b"
 
 
 def test_strip_without_tokens_is_identity():
@@ -102,11 +101,11 @@ def test_strip_without_tokens_is_identity():
 
 def test_strip_removes_all_tokens_in_order():
     registry = SinkRegistry(seed=0)
-    out = DocumentBuilder()
+    out = []
     emit_to_sink(make_source("first", "o"), "s1", out, registry)
     out.append("|")
     emit_to_sink(make_source("second", "o"), "s2", out, registry)
-    assert strip_annotations(out.build(), registry) == "first|second"
+    assert strip_annotations("".join(out), registry) == "first|second"
 
 
 def test_strip_flags_residue_from_builder_misuse():

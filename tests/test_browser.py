@@ -1,28 +1,29 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxcheck.annotations import SinkRegistry
-from ctxcheck.browser import (
-    MissingToken,
-    ModelBrowser,
-    analyze,
-    css_scan,
-    html_scan,
-    js_scan,
-    uri_scan,
-)
+from ctxcheck.browser import MAX_NESTING, MissingToken, ModelBrowser, analyze
 from ctxcheck.contexts import BrowserContext as C
 
 from corpus import SNIPPETS, build_snippet
+from oracles import ReferenceBrowser
 
 
 def _registry_with_token(seed=0):
     registry = SinkRegistry(seed=seed)
     token = registry.register(frozenset({("o", ())}), "s")
     return registry, token
+
+
+def _scan(kind, text, registry, prefix=(), **kwargs):
+    """Findings of one ModelBrowser scanner run on its own; kind "js"
+    runs js_scan."""
+    browser = ModelBrowser(registry)
+    getattr(browser, f"{kind}_scan")(text, prefix, **kwargs)
+    return browser.findings
 
 
 @pytest.mark.parametrize("case", SNIPPETS, ids=lambda c: c.name)
@@ -71,87 +72,87 @@ def test_finding_excerpt_surrounds_token():
 
 def test_html_scan_event_handler():
     registry, token = _registry_with_token()
-    findings = html_scan(f"<div onclick=\"f('{token}')\">", (), registry)
+    findings = _scan("html", f"<div onclick=\"f('{token}')\">", registry)
     assert findings[0].context == (C.HtmlAttrDq, C.JsStringSq)
 
 
 def test_html_scan_comment_and_script_src():
     registry, token = _registry_with_token()
-    assert html_scan(f"<!-- {token} -->", (), registry)[0].context == \
+    assert _scan("html", f"<!-- {token} -->", registry)[0].context == \
         (C.HtmlComment,)
-    assert html_scan(f'<script src="{token}">', (), registry)[0].context == \
+    assert _scan("html", f'<script src="{token}">', registry)[0].context == \
         (C.HtmlAttrDq, C.UriScriptSrc)
 
 
 def test_html_scan_attribute_values_are_entity_decoded():
     registry, token = _registry_with_token()
     value = f"javascript:alert(&#x27;{token}&#x27;)"
-    findings = html_scan(f'<a href="{value}">', (), registry)
+    findings = _scan("html", f'<a href="{value}">', registry)
     assert findings[0].context == (C.HtmlAttrDq, C.Uri, C.JsStringSq)
 
 
 def test_script_content_is_not_entity_decoded():
     registry, token = _registry_with_token()
     # &quot; must not open a string inside script data.
-    findings = html_scan(f"<script>f(&quot;{token});</script>", (), registry)
+    findings = _scan("html", f"<script>f(&quot;{token});</script>", registry)
     assert findings[0].context == (C.HtmlScriptData, C.JsCode)
 
 
 def test_js_scan_positions():
     registry, token = _registry_with_token()
-    assert js_scan(f'page.open("x", {token});', (), registry)[0].context == \
+    assert _scan("js", f'page.open("x", {token});', registry)[0].context == \
         (C.JsCode,)
-    assert js_scan(f"var l = '{token}';", (), registry)[0].context == \
+    assert _scan("js", f"var l = '{token}';", registry)[0].context == \
         (C.JsStringSq,)
-    assert js_scan(f"/* {token} */", (), registry)[0].context == (C.JsComment,)
+    assert _scan("js", f"/* {token} */", registry)[0].context == (C.JsComment,)
 
 
 def test_js_scan_strings_are_terminal():
     registry, token = _registry_with_token()
-    findings = js_scan(f'var html = "<b>{token}</b>";', (), registry)
+    findings = _scan("js", f'var html = "<b>{token}</b>";', registry)
     assert findings[0].context == (C.JsStringDq,)
 
 
 def test_js_scan_escaped_quote_stays_in_string():
     registry, token = _registry_with_token()
-    findings = js_scan(f'var s = "a\\"b {token}";', (), registry)
+    findings = _scan("js", f'var s = "a\\"b {token}";', registry)
     assert findings[0].context == (C.JsStringDq,)
 
 
 def test_css_scan_positions():
     registry, token = _registry_with_token()
-    assert css_scan(f"color: {token}", (), registry)[0].context == \
+    assert _scan("css", f"color: {token}", registry)[0].context == \
         (C.CssDeclValue,)
-    assert css_scan(f"background: url({token})", (), registry)[0].context == \
+    assert _scan("css", f"background: url({token})", registry)[0].context == \
         (C.Uri,)
-    assert css_scan(f'content: "{token}"', (), registry)[0].context == \
+    assert _scan("css", f'content: "{token}"', registry)[0].context == \
         (C.CssString,)
 
 
 def test_css_scan_selector_position_is_unknown():
     registry, token = _registry_with_token()
-    findings = css_scan(f"{token} {{ color: red }}".replace("{{", "{"), (), registry)
+    findings = _scan("css", f"{token} {{ color: red }}".replace("{{", "{"), registry)
     assert findings[0].context == (C.Unknown,)
 
 
 def test_css_url_quoted_and_escaped():
     registry, token = _registry_with_token()
-    findings = css_scan(f'background: url("{token}")', (), registry)
+    findings = _scan("css", f'background: url("{token}")', registry)
     assert findings[0].context == (C.Uri,)
 
 
 def test_uri_scan_positions():
     registry, token = _registry_with_token()
-    assert uri_scan(f"https://x/?q={token}", (), registry)[0].context == (C.Uri,)
-    assert uri_scan(f"javascript:alert('{token}')", (), registry)[0].context == \
+    assert _scan("uri", f"https://x/?q={token}", registry)[0].context == (C.Uri,)
+    assert _scan("uri", f"javascript:alert('{token}')", registry)[0].context == \
         (C.Uri, C.JsStringSq)
-    assert uri_scan(f"data:text/html,<i>{token}</i>", (), registry)[0].context == \
+    assert _scan("uri", f"data:text/html,<i>{token}</i>", registry)[0].context == \
         (C.Uri, C.HtmlText)
 
 
 def test_uri_scan_script_src_is_terminal():
     registry, token = _registry_with_token()
-    findings = uri_scan(f"javascript:{token}()", (), registry, script_src=True)
+    findings = _scan("uri", f"javascript:{token}()", registry, script_src=True)
     assert findings[0].context == (C.UriScriptSrc,)
 
 
@@ -167,13 +168,13 @@ def test_token_literally_inside_base64_payload_stays_uri():
 
 def test_uri_scan_percent_decodes_javascript_body():
     registry, token = _registry_with_token()
-    findings = uri_scan(f"javascript:alert(%27{token}%27)", (), registry)
+    findings = _scan("uri", f"javascript:alert(%27{token}%27)", registry)
     assert findings[0].context == (C.Uri, C.JsStringSq)
 
 
 def test_prefix_is_prepended():
     registry, token = _registry_with_token()
-    findings = js_scan(f"'{token}'", (C.HtmlScriptData,), registry)
+    findings = _scan("js", f"'{token}'", registry, (C.HtmlScriptData,))
     assert findings[0].context == (C.HtmlScriptData, C.JsStringSq)
 
 
@@ -217,6 +218,17 @@ def test_nested_data_documents_grow_by_two_per_level():
         assert len(findings[0].context) == 2 * depth + 1
 
 
+def test_nesting_past_the_cap_resolves_to_unknown():
+    # 300 levels (8 KB) of unquoted data: URIs once exhausted the
+    # recursion limit; past the cap the rest is one Unknown region.
+    registry, token = _registry_with_token()
+    document = "<iframe/src=data:text/html," * 300 + token
+    findings = analyze(document, registry)
+    assert len(findings) == 1
+    assert findings[0].context[-1] == C.Unknown
+    assert len(findings[0].context) == MAX_NESTING + 1
+
+
 @given(
     st.lists(
         st.text(alphabet="<>\"'`=/ \n\tabc:;(){},.!-&%#", max_size=12),
@@ -248,3 +260,42 @@ def test_forgiving_on_malformed_markup():
     ]:
         findings = analyze(document, registry)
         assert findings[0].context == expected, document
+
+
+_REFERENCE_REGISTRY = SinkRegistry(seed=4)
+_REFERENCE_TOKENS = tuple(
+    _REFERENCE_REGISTRY.register(frozenset({("o", ())}), f"s{i}") for i in range(2))
+FRAGMENTS = (
+    # tags, quoted and unquoted attributes
+    "<", ">", "</", "/>", "<p>", "<a ", "<a href=", "<div onclick=",
+    "<b style=", "<iframe src=", "<script src=", "<script>", "</script",
+    "</script>", "<style>", "</style>", "<!", "<?", " x=", "=", '"v"', "'v'",
+    # quotes, escapes, comments, raw-text ends, CSS
+    '"', "'", "`", "\\", "//", "/*", "*/", "<!--", "-->", "url(", "URL(",
+    ")", ":", ";", "{", "}",
+    # schemes, encodings, whitespace
+    "javascript:", "data:text/html,", "data:text/html;base64,", "aGk=",
+    "&quot;", "&#39;", "%27", "%22", "\n", "\t", " ", "a",
+    # registered tokens, and an unregistered one
+    *_REFERENCE_TOKENS, SinkRegistry(seed=99).new_token(),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.sampled_from(FRAGMENTS), min_size=20, max_size=60), st.booleans())
+def test_scanners_match_the_reference_browser(pieces, script_src):
+    """Each scan entry point gives the findings and scan count of
+    ReferenceBrowser, the hand-written scanners the lexer tables replaced.
+
+    A ROADMAP item 3 fix that changes behaviour on purpose updates the
+    reference with it.
+    """
+    text = "".join(pieces)
+    for kind, kwargs in (("html", {}), ("js", {}), ("css", {}),
+                         ("uri", {"script_src": script_src})):
+        browser = ModelBrowser(_REFERENCE_REGISTRY)
+        reference = ReferenceBrowser(_REFERENCE_REGISTRY)
+        getattr(browser, f"{kind}_scan")(text, (), **kwargs)
+        getattr(reference, f"{kind}_scan")(text, (), **kwargs)
+        assert browser.findings == reference.findings, kind
+        assert browser.scan_count == reference.scan_count, kind

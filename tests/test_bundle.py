@@ -4,7 +4,6 @@ import pytest
 
 from ctxcheck.bundle import (
     BundleError,
-    assemble_chunks,
     dump_bundle,
     load_bundle,
 )
@@ -40,9 +39,13 @@ def test_chunked_document_is_assembled():
     assert load_bundle(data).document == document
 
 
-def test_assemble_chunks():
-    assert assemble_chunks(["<p>", "tok", "</p>"]) == "<p>tok</p>"
-    assert assemble_chunks([]) == ""
+def test_chunks_are_joined_in_order_and_may_be_empty():
+    document, registry = _rendered()
+    data = dump_bundle(document, registry)
+    data["document"] = ["<p>", "tok", "</p>"]
+    assert load_bundle(data).document == "<p>tok</p>"
+    data["document"] = []
+    assert load_bundle(data).document == ""
 
 
 @pytest.mark.parametrize("mutate", [

@@ -194,6 +194,22 @@ def test_analyze_nested_token_is_operational_error(tmp_path, capsys):
     assert outer in capsys.readouterr().err
 
 
+def test_analyze_deeply_nested_data_uris_reports_unknown(tmp_path, capsys):
+    # 300 nested data: URIs used to end in a RecursionError traceback
+    # and exit code 1, which is the "flaw found" code.
+    token = "xtnt" + "c" * 32
+    bundle = {
+        "document": "<iframe/src=data:text/html," * 300 + token,
+        "registry": {token: {"sink": "page:0", "taints": [
+            {"origin": "get.q", "chain": ["html_escape"]}]}},
+    }
+    bundle_path = tmp_path / "deep.json"
+    bundle_path.write_text(json.dumps(bundle), encoding="utf-8")
+    assert main(["analyze", str(bundle_path), "--format", "json"]) == 1
+    findings = json.loads(capsys.readouterr().out)["findings"]
+    assert [f["context"][-1] for f in findings] == ["Unknown"]
+
+
 def test_exit_code_two_on_template_syntax_error(tmp_path, capsys):
     template = tmp_path / "broken.tpl"
     template.write_text("{{", encoding="utf-8")

@@ -154,9 +154,9 @@ def test_join_unions_all_records():
 
 def test_tracking_mode_names_round_trip():
     for mode in TrackingMode:
-        assert TrackingMode.from_name(mode.value) is mode
+        assert TrackingMode(mode.value) is mode
     with pytest.raises(ValueError):
-        TrackingMode.from_name("bogus")
+        TrackingMode("bogus")
 
 
 @given(records, records)
