@@ -100,8 +100,8 @@ _JS = re.compile("|".join([
     _BLOCK_COMMENT % "js_block_comment",
 ]))
 
-# url( payloads: quoted, or bare up to ")"; whatever follows a closing
-# quote up to ")" is skipped.
+# url( payloads: quoted, or bare up to ")".  Whatever follows a closing
+# quote up to ")" is not part of the URL; css_scan classifies it Unknown.
 _CSS_URL = "".join([
     rf"(?i:url)\([{_WS}]*(?:",
     _quoted('"', "url_dq", newline_ends=False), "|",
@@ -288,6 +288,10 @@ class ModelBrowser:
             if group == "url_bare":
                 payload = payload.strip()
             self.uri_scan(css_unescape(payload), prefix)
+            # The text between a closing quote and ")"; a bare payload
+            # runs up to ")", so its tail is empty.
+            tail = text[match.end(group) + 1:match.end()].removesuffix(")")
+            self._classify(tail, prefix, BrowserContext.Unknown)
 
     # -- URI ------------------------------------------------------------------
 

@@ -93,9 +93,3 @@ def read_bundle(path) -> Bundle:
         except json.JSONDecodeError as exc:
             raise BundleError(f"bundle is not valid JSON: {exc}") from None
     return load_bundle(data)
-
-
-def write_bundle(path, document: str, registry: SinkRegistry) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(dump_bundle(document, registry), handle, indent=2)
-        handle.write("\n")

@@ -92,8 +92,7 @@ def _report_dict(findings, verdicts: list[Verdict], summary: ReportSummary,
         ],
         "patterns": {
             pattern.value: count
-            for pattern, count in sorted(summary.pattern_counts.items(),
-                                         key=lambda item: item[0].value)
+            for pattern, count in summary.pattern_counts.items()
         },
         "verdicts": [
             {
@@ -119,8 +118,7 @@ def _report_text(verdicts: list[Verdict], summary: ReportSummary) -> str:
     if summary.pattern_counts:
         lines.append("")
         lines.append("bug patterns:")
-        for pattern, count in sorted(summary.pattern_counts.items(),
-                                     key=lambda item: item[0].value):
+        for pattern, count in summary.pattern_counts.items():
             lines.append(f"  {PATTERN_LABELS[pattern]}: {count}")
     if verdicts:
         lines.append("")

@@ -38,11 +38,10 @@ ContextSequence = tuple[BrowserContext, ...]
 
 def sequence_from_names(names) -> ContextSequence:
     """Build a sequence from context names, e.g. from a config file."""
-    try:
-        return tuple(BrowserContext(name) for name in names)
-    except ValueError:
-        bad = [n for n in names if n not in BrowserContext.__members__]
-        raise ValueError(f"unknown browser context {bad[0]!r}") from None
+    for name in names:
+        if not isinstance(name, str) or name not in BrowserContext.__members__:
+            raise ValueError(f"unknown browser context {name!r}")
+    return tuple(BrowserContext[name] for name in names)
 
 
 def sequence_names(sequence: ContextSequence) -> list[str]:

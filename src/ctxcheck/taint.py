@@ -106,10 +106,6 @@ def untainted(text: str) -> TaintedText:
     return TaintedText(text)
 
 
-def taint_record(entries: Iterable[TaintEntry]) -> TaintRecord:
-    return frozenset((origin, tuple(chain)) for origin, chain in entries)
-
-
 def make_source(text: str, origin: SourceId) -> TaintedText:
     """Produce a sourced value: one entry with an empty chain."""
     return TaintedText(text, frozenset({(origin, ())}))
@@ -195,10 +191,11 @@ def char_roundtrip(value: TaintedText,
                    mode: TrackingMode = TrackingMode.FULL) -> TaintedText:
     """Decompose to numeric codes and reassemble.
 
-    In FULL mode the record survives the trip; in the limited modes it is
-    lost at the numeric hop.
+    In FULL mode the record survives the trip, the empty string's too,
+    which has no codes to carry it; in the limited modes it is lost at
+    the numeric hop.
     """
-    text = from_char_codes(char_codes(value, mode)).text
+    text = "".join(chr(int(code.value)) for code in char_codes(value, mode))
     taint = value.taint if mode is TrackingMode.FULL else EMPTY_TAINT
     return TaintedText(text, taint)
 

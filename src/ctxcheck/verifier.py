@@ -8,8 +8,9 @@ outer layers first, so encodings must have been applied innermost-first;
 fixing the factorization order this way is what makes chain order
 checkable.
 
-Membership is computed by suffix factorization with memoization instead
-of materializing the full concatenation product.
+Membership is decided by one iterative walk over the chain, last-applied
+sanitizer first, that keeps the set of context positions reached so far:
+no concatenation product is built, and no recursion limit bounds a chain.
 """
 
 from __future__ import annotations
@@ -64,13 +65,12 @@ class Verdict:
     token: str
     triple: SanitizationTriple
     context: ContextSequence
-    sufficient: bool
     pattern: BugPattern | None = None
 
-    def __post_init__(self):
-        if (self.pattern is None) != self.sufficient:
-            raise ValueError(
-                "a verdict has a bug pattern exactly when it is insufficient")
+    @property
+    def sufficient(self) -> bool:
+        """A verdict is sufficient exactly when it names no bug pattern."""
+        return self.pattern is None
 
 
 def default_context_map() -> ContextMap:
@@ -109,12 +109,9 @@ def validate_context_map(cmap: ContextMap) -> ContextMap:
             for ctx in sequence:
                 if not isinstance(ctx, BrowserContext):
                     raise ContextMapError(f"not a browser context: {ctx!r}")
-                if ctx is BrowserContext.Unknown:
+                if ctx in (BrowserContext.Unknown, BrowserContext.UriScriptSrc):
                     raise ContextMapError(
-                        f"{sanitizer}: Unknown cannot be a handled context")
-                if ctx is BrowserContext.UriScriptSrc:
-                    raise ContextMapError(
-                        f"{sanitizer}: UriScriptSrc cannot be a handled context")
+                        f"{sanitizer}: {ctx.value} cannot be a handled context")
     return cmap
 
 
@@ -153,28 +150,14 @@ def sufficient(chain: SanitizerChain, context: ContextSequence,
     for sanitizer in chain:
         if sanitizer not in cmap:
             raise UnknownSanitizer(sanitizer)
-    total = len(context)
-    memo: dict[tuple[int, int], bool] = {}
-
-    def covers(applied: int, pos: int) -> bool:
-        # Can the first `applied` chain elements cover context[pos:],
-        # with chain[applied-1] taking the segment at pos?
-        if applied == 0:
-            return pos == total
-        key = (applied, pos)
-        if key in memo:
-            return memo[key]
-        result = False
-        for segment in cmap[chain[applied - 1]]:
-            length = len(segment)
-            if context[pos:pos + length] == tuple(segment) and \
-                    covers(applied - 1, pos + length):
-                result = True
-                break
-        memo[key] = result
-        return result
-
-    return covers(len(chain), 0)
+    # Positions of context the sanitizers walked so far cover up to; the
+    # next sanitizer (applied earlier) takes a segment starting at one.
+    reached = {0}
+    for sanitizer in reversed(chain):
+        reached = {pos + len(segment) for pos in reached
+                   for segment in cmap[sanitizer]
+                   if context[pos:pos + len(segment)] == segment}
+    return len(context) in reached
 
 
 _INNERMOST_PATTERNS = {
@@ -195,8 +178,7 @@ def classify(chain: SanitizerChain, context: ContextSequence) -> BugPattern:
     Total on insufficient inputs: anything that does not match a known
     pattern is OtherMismatch.
     """
-    effective = [s for s in chain if s != SAFE_ID]
-    if not effective:
+    if set(chain) <= {SAFE_ID}:
         return BugPattern.NoSanitization
     if HTML_ESCAPE_ID in chain and context:
         return _INNERMOST_PATTERNS.get(context[-1], BugPattern.OtherMismatch)
@@ -213,32 +195,29 @@ def verify(findings: list[Finding], registry: SinkRegistry,
     pattern depend only on the chain and the context, so each distinct
     pair is decided once.
     """
-    verdicts: list[Verdict] = []
-    seen: set[tuple[SanitizationTriple, ContextSequence]] = set()
+    verdicts: dict[tuple[SanitizationTriple, ContextSequence], Verdict] = {}
     decided: dict[tuple[SanitizerChain, ContextSequence],
-                  tuple[bool, BugPattern | None]] = {}
+                  BugPattern | None] = {}
     for finding in findings:
         entry = registry[finding.token]
         for origin, chain in sorted(entry.taint):
             triple = SanitizationTriple(origin, chain, entry.sink)
             key = (triple, finding.context)
-            if key in seen:
+            if key in verdicts:
                 continue
-            seen.add(key)
             pair = (chain, finding.context)
             if pair not in decided:
-                ok = sufficient(chain, finding.context, cmap)
                 decided[pair] = (
-                    ok, None if ok else classify(chain, finding.context))
-            ok, pattern = decided[pair]
-            verdicts.append(Verdict(finding.token, triple, finding.context,
-                                    ok, pattern))
-    return verdicts
+                    None if sufficient(chain, finding.context, cmap)
+                    else classify(chain, finding.context))
+            verdicts[key] = Verdict(finding.token, triple, finding.context,
+                                    decided[pair])
+    return list(verdicts.values())
 
 
 @dataclass(frozen=True)
 class ReportSummary:
-    """Correct/incorrect counts over unique sanitization triples."""
+    """Counts over unique sanitization triples, patterns in report order."""
 
     sanitizations: int
     correct: int
@@ -249,12 +228,12 @@ class ReportSummary:
 def aggregate(verdicts: list[Verdict]) -> ReportSummary:
     """Count unique triples, partitioned by whether any verdict flags them."""
     triples = {v.triple for v in verdicts}
-    flawed = {v.triple for v in verdicts if not v.sufficient}
     pattern_pairs = {(v.triple, v.pattern) for v in verdicts if not v.sufficient}
+    flawed = {triple for triple, _ in pattern_pairs}
     counts = Counter(pattern for _, pattern in pattern_pairs)
     return ReportSummary(
         sanitizations=len(triples),
         correct=len(triples) - len(flawed),
         incorrect=len(flawed),
-        pattern_counts=dict(counts),
+        pattern_counts=dict(sorted(counts.items(), key=lambda i: i[0].value)),
     )

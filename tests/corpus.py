@@ -265,6 +265,12 @@ SNIPPETS = [
                 ("HtmlAttrDq", "CssDeclValue")),
     SnippetCase("style-attr-url", '<div style="background: url(@T@)">',
                 ("HtmlAttrDq", "Uri")),
+    SnippetCase("style-attr-after-url-quote",
+                "<b style=\"background: url('a' @T@)\">",
+                ("HtmlAttrDq", "Unknown")),
+    SnippetCase("style-element-after-url-quote",
+                '<style>a{background:url("x"@T@)}</style>',
+                ("HtmlStyleData", "Unknown")),
     SnippetCase("href", '<a href="@T@">x</a>', ("HtmlAttrDq", "Uri")),
     SnippetCase("href-query", '<a href="https://x.example/?q=@T@">',
                 ("HtmlAttrDq", "Uri")),

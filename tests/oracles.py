@@ -4,7 +4,9 @@ The sufficiency oracle enumerates the full concatenation product of the
 handled-context sets, which is exactly the definition the fast
 implementation must agree with.  It stays deliberately naive.  The
 strip oracle is the original one-replace-per-token annotation strip,
-and the browser oracle the original hand-written scanners.
+and the browser oracle the original hand-written scanners, changed
+only where the model was deliberately fixed: the text between a quoted
+url() payload's closing quote and ")" is classified Unknown.
 """
 
 from __future__ import annotations
@@ -454,10 +456,14 @@ class ReferenceBrowser:
                 k += 1
             payload = text[j + 1:min(k, n)]
             close = text.find(")", min(k, n))
+            tail = text[k + 1:n if close == -1 else close] if k < n else ""
         else:
             close = text.find(")", j)
             payload = text[j:n if close == -1 else close].strip()
+            tail = ""
         self.uri_scan(css_unescape(payload), prefix)
+        # Text between the closing quote and ")" is not part of the URL.
+        self._classify(tail, prefix, BrowserContext.Unknown)
         return n if close == -1 else close + 1
 
     # -- URI ------------------------------------------------------------------

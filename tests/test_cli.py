@@ -210,6 +210,22 @@ def test_analyze_deeply_nested_data_uris_reports_unknown(tmp_path, capsys):
     assert [f["context"][-1] for f in findings] == ["Unknown"]
 
 
+def test_analyze_long_safe_chain_reports_no_sanitization(tmp_path, capsys):
+    # A chain of 1,000 safe ids used to exhaust the recursion limit in the
+    # verifier: a traceback and exit code 1, the "flaw found" code.
+    token = "xtnt" + "d" * 32
+    bundle = {
+        "document": f"<p>{token}</p>",
+        "registry": {token: {"sink": "page:0", "taints": [
+            {"origin": "get.q", "chain": ["safe"] * 1000}]}},
+    }
+    bundle_path = tmp_path / "long_chain.json"
+    bundle_path.write_text(json.dumps(bundle), encoding="utf-8")
+    assert main(["analyze", str(bundle_path), "--format", "json"]) == 1
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert [v["pattern"] for v in verdicts] == ["NoSanitization"]
+
+
 def test_exit_code_two_on_template_syntax_error(tmp_path, capsys):
     template = tmp_path / "broken.tpl"
     template.write_text("{{", encoding="utf-8")
@@ -298,9 +314,12 @@ def test_exit_code_two_on_malformed_bundle_json(tmp_path, capsys):
 def test_exit_code_two_on_invalid_context_map(tmp_path, capsys):
     template, env = _write_case(tmp_path, FLAWED_SCRIPT_STRING)
     bad_map = tmp_path / "map.json"
-    bad_map.write_text(json.dumps({"x": [["Unknown"]]}), encoding="utf-8")
-    assert main(["check", template, env, "--context-map", str(bad_map)]) == 2
-    capsys.readouterr()
+    for cmap in ({"x": [["Unknown"]]}, {"x": [[["HtmlText"]]]},
+                 {"x": [[{"a": 1}]]}):
+        bad_map.write_text(json.dumps(cmap), encoding="utf-8")
+        assert main(["check", template, env,
+                     "--context-map", str(bad_map)]) == 2, cmap
+        assert "error:" in capsys.readouterr().err
 
 
 def test_text_format_report(tmp_path, capsys):
