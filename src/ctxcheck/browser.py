@@ -10,9 +10,18 @@ element to the context sequence of the tokens it classifies.
 Each language is a lexer table: one alternation regex whose named groups
 are the constructs that leave the language's default context, and the
 map ``_CONTEXT`` from group name to the context of the group's text.
-``ModelBrowser._lex`` runs a table over a text.  A group without a
-context (a start tag, a CSS separator or ``url(``) hands control back
-to its scanner, which acts on it and resumes lexing after it.
+``ModelBrowser._lex`` runs the HTML and JavaScript tables over a text; a
+group without a context (a start tag) hands control back to its scanner,
+which acts on it and resumes lexing after it.  CSS runs its own
+single-pass loop over one table, because a ``:`` starts a declaration
+value only outside one.
+
+Only text ranges that hold the token prefix are searched for tokens, so
+a token-free range costs no classification.  JavaScript strings and
+comments are terminal, so lexing a script stops after its last token
+prefix; HTML, CSS and URI text is walked to its end, because entity,
+percent, CSS-escape and base64 decoding can reveal a token that the raw
+text does not spell.
 
 The HTML scanner is deliberately forgiving.  Regions it cannot make
 sense of (tag and attribute names, declarations, unterminated
@@ -26,7 +35,7 @@ from __future__ import annotations
 import base64
 import re
 
-from .annotations import TOKEN_RE, SinkRegistry
+from .annotations import TOKEN_PREFIX, TOKEN_RE, SinkRegistry
 from .contexts import BrowserContext, ContextSequence, Finding
 from .decoders import css_unescape, entity_decode, percent_decode
 
@@ -108,20 +117,18 @@ _CSS_URL = "".join([
     _quoted("'", "url_sq", newline_ends=False), "|",
     r"(?P<url_bare>[^)]*))[^)]*\)?",
 ])
-_CSS_COMMON = [
+# ":" starts a declaration value only outside one (in selectors and
+# property names); css_scan skips it inside a value.
+_CSS = re.compile("|".join([
     _BLOCK_COMMENT % "css_comment",
     _quoted('"', "css_dq", newline_ends=False),
     _quoted("'", "css_sq", newline_ends=False),
     _CSS_URL,
     r"(?P<value_end>[;{}])",
-]
-# Table and default context outside declaration values (selectors and
-# property names, where ":" starts a value) and inside them.
-_CSS = {
-    False: (re.compile("|".join(_CSS_COMMON + [r"(?P<value_start>:)"])),
-            BrowserContext.Unknown),
-    True: (re.compile("|".join(_CSS_COMMON)), BrowserContext.CssDeclValue),
-}
+    r"(?P<value_start>:)",
+]))
+# css_scan's default context outside a declaration value and inside one.
+_CSS_DEFAULT = (BrowserContext.Unknown, BrowserContext.CssDeclValue)
 
 _CONTEXT = {
     "html_comment": BrowserContext.HtmlComment,
@@ -168,33 +175,49 @@ class ModelBrowser:
 
     # -- shared ----------------------------------------------------------
 
-    def _classify(self, segment: str, prefix: ContextSequence,
-                  ctx: BrowserContext) -> None:
-        for match in TOKEN_RE.finditer(segment):
+    def _classify(self, text: str, lo: int, hi: int,
+                  prefix: ContextSequence, ctx: BrowserContext) -> None:
+        """Record the registered tokens in ``text[lo:hi]`` as ``ctx``.
+
+        Each excerpt is clipped to the range.  TOKEN_RE has no anchors,
+        so scanning the range equals scanning its slice.
+        """
+        for match in TOKEN_RE.finditer(text, lo, hi):
             token = match.group(0)
             if token not in self.tokens:
                 continue
-            lo = max(0, match.start() - _EXCERPT_MARGIN)
-            hi = min(len(segment), match.end() + _EXCERPT_MARGIN)
-            self.findings.append(Finding(token, prefix + (ctx,), segment[lo:hi]))
+            start, end = match.span()
+            excerpt = text[max(lo, start - _EXCERPT_MARGIN):
+                           min(hi, end + _EXCERPT_MARGIN)]
+            self.findings.append(Finding(token, prefix + (ctx,), excerpt))
 
     def _lex(self, text: str, prefix: ContextSequence, table: re.Pattern,
-             default: BrowserContext, pos: int = 0) -> re.Match | None:
+             default: BrowserContext, pos: int, last: int) -> re.Match | None:
         """Classify ``text[pos:]`` with a lexer table.
 
         Text between matches gets ``default`` and each match's group
-        text the group's context.  The first match of a group without a
-        context ends the run and is returned, for the scanner to act on;
-        None means the text is done.
+        text the group's context; only ranges holding the token prefix
+        are classified.  The first match of a group without a context
+        ends the run and is returned, for the scanner to act on; None
+        means the text is done.  Lexing also ends once a match ends past
+        ``last``: the caller knows that no token starts after it.
         """
         for match in table.finditer(text, pos):
-            self._classify(text[pos:match.start()], prefix, default)
-            ctx = _CONTEXT.get(match.lastgroup)
+            start = match.start()
+            if text.find(TOKEN_PREFIX, pos, start) >= 0:
+                self._classify(text, pos, start, prefix, default)
+            group = match.lastgroup
+            ctx = _CONTEXT.get(group)
             if ctx is None:
                 return match
-            self._classify(match[match.lastgroup], prefix, ctx)
+            lo, hi = match.span(group)
+            if text.find(TOKEN_PREFIX, lo, hi) >= 0:
+                self._classify(text, lo, hi, prefix, ctx)
             pos = match.end()
-        self._classify(text[pos:], prefix, default)
+            if pos > last:
+                return None
+        if text.find(TOKEN_PREFIX, pos) >= 0:
+            self._classify(text, pos, len(text), prefix, default)
         return None
 
     # -- HTML -------------------------------------------------------------
@@ -203,16 +226,17 @@ class ModelBrowser:
         self.scan_count += 1
         prefix = tuple(prefix)
         if len(prefix) >= MAX_NESTING:
-            self._classify(text, prefix, BrowserContext.Unknown)
+            self._classify(text, 0, len(text), prefix, BrowserContext.Unknown)
             return
         pos = 0
         while (tag := self._lex(text, prefix, _HTML, BrowserContext.HtmlText,
-                                pos)) is not None:
+                                pos, len(text))) is not None:
             pos = self._start_tag(text, tag, prefix)
 
     def _start_tag(self, text: str, tag_match: re.Match,
                    prefix: ContextSequence) -> int:
-        self._classify(tag_match["start_tag"], prefix, BrowserContext.Unknown)
+        self._classify(text, *tag_match.span("start_tag"), prefix,
+                       BrowserContext.Unknown)
         tag = tag_match["start_tag"].lower()
         pos = tag_match.end()
         while (attr := _ATTR_RE.match(text, pos)).lastgroup not in (
@@ -222,7 +246,7 @@ class ModelBrowser:
         if attr.lastgroup == "unclosed_value":
             # Unterminated value swallows the rest; cover the whole
             # attribute so its name is not lost either.
-            self._classify(text[attr.start("name"):], prefix,
+            self._classify(text, attr.start("name"), len(text), prefix,
                            BrowserContext.Unknown)
             return len(text)
         if attr.lastgroup is None:  # the tag never closes
@@ -242,7 +266,7 @@ class ModelBrowser:
     def _attribute(self, tag: str, attr: re.Match,
                    prefix: ContextSequence) -> None:
         name = attr["name"]
-        self._classify(name, prefix, BrowserContext.Unknown)
+        self._classify(name, 0, len(name), prefix, BrowserContext.Unknown)
         ctx = _CONTEXT.get(attr.lastgroup)
         if ctx is None:  # no value
             return
@@ -256,14 +280,20 @@ class ModelBrowser:
             script_src = tag == "script" and lname == "src"
             self.uri_scan(decoded, prefix + (ctx,), script_src=script_src)
         else:
-            self._classify(decoded, prefix, ctx)
+            self._classify(decoded, 0, len(decoded), prefix, ctx)
 
     # -- JavaScript --------------------------------------------------------
 
     def js_scan(self, text: str, prefix: ContextSequence = ()) -> None:
-        """Lex far enough to tell code, strings and comments apart."""
+        """Lex far enough to tell code, strings and comments apart.
+
+        Nothing in a script is decoded or handed on, so lexing stops
+        once it has passed the last token prefix.
+        """
         self.scan_count += 1
-        self._lex(text, tuple(prefix), _JS, BrowserContext.JsCode)
+        last = text.rfind(TOKEN_PREFIX)
+        if last >= 0:
+            self._lex(text, tuple(prefix), _JS, BrowserContext.JsCode, 0, last)
 
     # -- CSS ----------------------------------------------------------------
 
@@ -278,11 +308,22 @@ class ModelBrowser:
         prefix = tuple(prefix)
         pos = 0
         in_value = False
-        while (match := self._lex(text, prefix, *_CSS[in_value], pos)) is not None:
-            pos = match.end()
+        for match in _CSS.finditer(text):
             group = match.lastgroup
-            if group in ("value_start", "value_end"):
+            if in_value and group == "value_start":
+                continue
+            start = match.start()
+            if text.find(TOKEN_PREFIX, pos, start) >= 0:
+                self._classify(text, pos, start, prefix, _CSS_DEFAULT[in_value])
+            pos = match.end()
+            if group == "value_start" or group == "value_end":
                 in_value = group == "value_start"
+                continue
+            lo, hi = match.span(group)
+            ctx = _CONTEXT.get(group)
+            if ctx is not None:
+                if text.find(TOKEN_PREFIX, lo, hi) >= 0:
+                    self._classify(text, lo, hi, prefix, ctx)
                 continue
             payload = match[group]
             if group == "url_bare":
@@ -290,8 +331,11 @@ class ModelBrowser:
             self.uri_scan(css_unescape(payload), prefix)
             # The text between a closing quote and ")"; a bare payload
             # runs up to ")", so its tail is empty.
-            tail = text[match.end(group) + 1:match.end()].removesuffix(")")
-            self._classify(tail, prefix, BrowserContext.Unknown)
+            lo = hi + 1
+            hi = pos - 1 if text.endswith(")", lo, pos) else pos
+            self._classify(text, lo, hi, prefix, BrowserContext.Unknown)
+        if text.find(TOKEN_PREFIX, pos) >= 0:
+            self._classify(text, pos, len(text), prefix, _CSS_DEFAULT[in_value])
 
     # -- URI ------------------------------------------------------------------
 
@@ -307,7 +351,8 @@ class ModelBrowser:
         self.scan_count += 1
         prefix = tuple(prefix)
         if script_src:
-            self._classify(text, prefix, BrowserContext.UriScriptSrc)
+            self._classify(text, 0, len(text), prefix,
+                           BrowserContext.UriScriptSrc)
             return
         match = _JS_URI_RE.match(text)
         if match:
@@ -324,18 +369,21 @@ class ModelBrowser:
                         decoded = base64.b64decode(payload, validate=False)
                         document = decoded.decode("utf-8", "replace")
                     except ValueError:
-                        self._classify(text, prefix, BrowserContext.Uri)
+                        self._classify(text, 0, len(text), prefix,
+                                       BrowserContext.Uri)
                         return
                     # Base64 decoding is destructive: a token sitting
                     # literally in the payload would vanish with it, so
                     # the raw payload keeps its URI classification.
-                    self._classify(payload, prefix, BrowserContext.Uri)
+                    self._classify(text, *match.span(2), prefix,
+                                   BrowserContext.Uri)
                 else:
                     document = percent_decode(payload)
-                self._classify(text[:match.start(2)], prefix, BrowserContext.Uri)
+                self._classify(text, 0, match.start(2), prefix,
+                               BrowserContext.Uri)
                 self.html_scan(document, prefix + (BrowserContext.Uri,))
                 return
-        self._classify(text, prefix, BrowserContext.Uri)
+        self._classify(text, 0, len(text), prefix, BrowserContext.Uri)
 
 
 def analyze(document: str, registry: SinkRegistry) -> list[Finding]:

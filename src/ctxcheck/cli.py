@@ -15,6 +15,7 @@ sanitizers, tokens missing from the document or nested inside another).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -196,7 +197,13 @@ def _add_analyze_arguments(parser) -> None:
                         help="write the annotation-free document here")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared after.
+
+    Each parse_args call fills a fresh namespace, so nothing carries
+    over from one call to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="ctxcheck",
         description="Verify that sanitizer chains match the browser "
@@ -237,6 +244,9 @@ def main(argv=None) -> int:
         return 2
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON input: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -141,6 +141,41 @@ def test_css_url_quoted_and_escaped():
     assert findings[0].context == (C.Uri,)
 
 
+def test_css_colon_inside_value_stays_in_the_value():
+    registry, token = _registry_with_token()
+    findings = analyze(f"<style>a{{background: x:y {token} z}}</style>", registry)
+    assert findings[0].context == (C.HtmlStyleData, C.CssDeclValue)
+    assert findings[0].excerpt == f" x:y {token} z"
+
+
+def test_tokens_revealed_only_by_decoding_are_found():
+    # The raw text never spells the token, so the scanners that decode
+    # must walk all of it, not only the ranges holding the token prefix.
+    registry, token = _registry_with_token()
+    rest = token[1:]
+    for document, expected in [
+        (f'<a title="&#x78;{rest}">', (C.HtmlAttrDq,)),
+        (f'<a href="javascript:f(%27%78{rest}%27)">',
+         (C.HtmlAttrDq, C.Uri, C.JsStringSq)),
+        (f'<b style="background:url(\\78 {rest})">', (C.HtmlAttrDq, C.Uri)),
+    ]:
+        assert "xtnt" not in document
+        findings = analyze(document, registry)
+        assert [f.context for f in findings] == [expected], document
+
+
+def test_last_js_token_keeps_its_trailing_excerpt():
+    # Lexing stops after the last token; its string or comment is still
+    # read to its end, and the excerpt is clipped to it.
+    registry, token = _registry_with_token()
+    tail = "b" * 60
+    findings = _scan("js", f"x = '{token}{tail}'; y(); // more", registry)
+    assert findings[0].excerpt == token + tail[:40]
+    findings = _scan("js", f"f(); /* {token} end */ g('{tail}');", registry)
+    assert findings[0].context == (C.JsComment,)
+    assert findings[0].excerpt == f" {token} end "
+
+
 def test_uri_scan_positions():
     registry, token = _registry_with_token()
     assert _scan("uri", f"https://x/?q={token}", registry)[0].context == (C.Uri,)
@@ -278,6 +313,10 @@ FRAGMENTS = (
     "&quot;", "&#39;", "%27", "%22", "\n", "\t", " ", "a",
     # registered tokens, and an unregistered one
     *_REFERENCE_TOKENS, SinkRegistry(seed=99).new_token(),
+    # a registered token that only entity, percent or CSS-escape
+    # decoding spells
+    "&#x78;" + _REFERENCE_TOKENS[0][1:], "%78" + _REFERENCE_TOKENS[0][1:],
+    "\\78 " + _REFERENCE_TOKENS[0][1:],
 )
 
 

@@ -291,6 +291,36 @@ def test_custom_context_map_changes_verdicts(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_parser_reuse_carries_nothing_between_calls(tmp_path, capsys):
+    # The parser is built once per process; options given to one call
+    # must not become the defaults of the next.
+    cmap = {"html_escape": [[], ["HtmlScriptData", "JsStringDq"]],
+            "safe": [[]]}
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps(cmap), encoding="utf-8")
+    template, env = _write_case(tmp_path, FLAWED_SCRIPT_STRING)
+    assert main(["check", template, env, "--format", "json",
+                 "--context-map", str(map_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["incorrect"] == 0
+    assert main(["check", template, env]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("sanitizations:")
+    assert "HTML escaping in JavaScript string" in out
+
+
+def test_exit_code_two_on_input_that_is_not_utf8(tmp_path, capsys):
+    # A UnicodeDecodeError used to end in a traceback and exit code 1,
+    # the "flaw found" code.
+    not_utf8 = tmp_path / "bad"
+    not_utf8.write_bytes(b"\xff")
+    template, env = _write_case(tmp_path, FLAWED_SCRIPT_STRING)
+    for argv in (["analyze", str(not_utf8)],
+                 ["check", str(not_utf8), env],
+                 ["check", template, env, "--context-map", str(not_utf8)]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+
+
 def test_report_counts_match_verdict_recount(tmp_path, capsys):
     code, report = _check(tmp_path, capsys, JS_CODE_ARGUMENT)
     assert code == 1
