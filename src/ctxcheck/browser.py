@@ -10,18 +10,20 @@ element to the context sequence of the tokens it classifies.
 Each language is a lexer table: one alternation regex whose named groups
 are the constructs that leave the language's default context, and the
 map ``_CONTEXT`` from group name to the context of the group's text.
-``ModelBrowser._lex`` runs the HTML and JavaScript tables over a text; a
-group without a context (a start tag) hands control back to its scanner,
-which acts on it and resumes lexing after it.  CSS runs its own
-single-pass loop over one table, because a ``:`` starts a declaration
-value only outside one.
+``ModelBrowser._lex`` runs the HTML and JavaScript tables over a text in
+one loop; an attribute-free tag is a table match, and any other start
+tag is read by ``_start_tag`` inside the loop, which resumes after the
+tag and its raw text.  CSS runs its own single-pass loop over one table,
+because a ``:`` starts a declaration value only outside one.
 
-Only text ranges that hold the token prefix are searched for tokens, so
-a token-free range costs no classification.  JavaScript strings and
-comments are terminal, so lexing a script stops after its last token
-prefix; HTML, CSS and URI text is walked to its end, because entity,
-percent, CSS-escape and base64 decoding can reveal a token that the raw
-text does not spell.
+Each loop carries the position of the next token prefix, so a token-free
+range costs an integer comparison, not a classification; tag names,
+attribute names, plain attribute values and plain URIs are classified
+only when they hold the prefix.  JavaScript strings and comments are
+terminal, so lexing a script stops after its last token prefix; HTML,
+CSS and URI text is walked to its end, because entity, percent,
+CSS-escape and base64 decoding can reveal a token that the raw text
+does not spell.
 
 The HTML scanner is deliberately forgiving.  Regions it cannot make
 sense of (tag and attribute names, declarations, unterminated
@@ -78,12 +80,15 @@ def _quoted(quote: str, group: str, newline_ends: bool) -> str:
 # A /* */ comment that runs to the end of the text when unclosed.
 _BLOCK_COMMENT = r"/\*(?P<%s>[^*]*(?:\*(?!/)[^*]*)*)(?:\*/)?"
 
+_TAG_NAME = "[a-zA-Z][a-zA-Z0-9:_-]*"
 _HTML = re.compile("|".join([
     r"<!--(?P<html_comment>[^-]*(?:-(?!->)[^-]*)*)(?:-->)?",
     r"(?P<declaration><[!?][^>]*)>?",
     r"</(?P<end_tag>[^>]*)>",
     r"(?P<unclosed_end_tag></[\s\S]*)",
-    r"<(?P<start_tag>[a-zA-Z][a-zA-Z0-9:_-]*)",
+    # A tag without attributes, unless it opens raw text.
+    rf"<(?!(?i:script|style)[{_WS}/=]*>)(?P<bare_tag>{_TAG_NAME})[{_WS}/=]*>",
+    rf"<(?P<start_tag>{_TAG_NAME})",
     r"(?P<stray_lt><)",
 ]))
 
@@ -135,6 +140,7 @@ _CONTEXT = {
     "declaration": BrowserContext.Unknown,
     "end_tag": BrowserContext.Unknown,
     "unclosed_end_tag": BrowserContext.Unknown,
+    "bare_tag": BrowserContext.Unknown,
     # A "<" that starts no construct is character data.
     "stray_lt": BrowserContext.HtmlText,
     "attr_dq": BrowserContext.HtmlAttrDq,
@@ -192,33 +198,38 @@ class ModelBrowser:
             self.findings.append(Finding(token, prefix + (ctx,), excerpt))
 
     def _lex(self, text: str, prefix: ContextSequence, table: re.Pattern,
-             default: BrowserContext, pos: int, last: int) -> re.Match | None:
-        """Classify ``text[pos:]`` with a lexer table.
+             default: BrowserContext, to_end: bool) -> None:
+        """Classify ``text`` with a lexer table.
 
         Text between matches gets ``default`` and each match's group
-        text the group's context; only ranges holding the token prefix
-        are classified.  The first match of a group without a context
-        ends the run and is returned, for the scanner to act on; None
-        means the text is done.  Lexing also ends once a match ends past
-        ``last``: the caller knows that no token starts after it.
+        text the group's context.  ``nxt``, the first token prefix at or
+        after ``pos`` (-1 if none), guards each range; a prefix that
+        straddles a range's end costs a classification that finds
+        nothing.  A start tag (a group without a context) is read by
+        ``_start_tag``.  Unless ``to_end``, lexing stops once no prefix
+        is left.
         """
-        for match in table.finditer(text, pos):
+        pos = 0
+        nxt = text.find(TOKEN_PREFIX)
+        while (to_end or nxt >= 0) and \
+                (match := table.search(text, pos)) is not None:
             start = match.start()
-            if text.find(TOKEN_PREFIX, pos, start) >= 0:
+            if 0 <= nxt < start:
                 self._classify(text, pos, start, prefix, default)
+                nxt = text.find(TOKEN_PREFIX, start)
             group = match.lastgroup
             ctx = _CONTEXT.get(group)
             if ctx is None:
-                return match
-            lo, hi = match.span(group)
-            if text.find(TOKEN_PREFIX, lo, hi) >= 0:
-                self._classify(text, lo, hi, prefix, ctx)
-            pos = match.end()
-            if pos > last:
-                return None
-        if text.find(TOKEN_PREFIX, pos) >= 0:
+                pos = self._start_tag(text, match, prefix)
+            else:
+                lo, hi = match.span(group)
+                if 0 <= nxt < hi:
+                    self._classify(text, lo, hi, prefix, ctx)
+                pos = match.end()
+            if 0 <= nxt < pos:
+                nxt = text.find(TOKEN_PREFIX, pos)
+        if nxt >= 0:
             self._classify(text, pos, len(text), prefix, default)
-        return None
 
     # -- HTML -------------------------------------------------------------
 
@@ -228,21 +239,40 @@ class ModelBrowser:
         if len(prefix) >= MAX_NESTING:
             self._classify(text, 0, len(text), prefix, BrowserContext.Unknown)
             return
-        pos = 0
-        while (tag := self._lex(text, prefix, _HTML, BrowserContext.HtmlText,
-                                pos, len(text))) is not None:
-            pos = self._start_tag(text, tag, prefix)
+        self._lex(text, prefix, _HTML, BrowserContext.HtmlText, True)
 
     def _start_tag(self, text: str, tag_match: re.Match,
                    prefix: ContextSequence) -> int:
-        self._classify(text, *tag_match.span("start_tag"), prefix,
-                       BrowserContext.Unknown)
-        tag = tag_match["start_tag"].lower()
+        """Read attributes and raw text; return where lexing resumes."""
+        tag = tag_match["start_tag"]
+        if TOKEN_PREFIX in tag:
+            self._classify(text, *tag_match.span("start_tag"), prefix,
+                           BrowserContext.Unknown)
+        tag = tag.lower()
         pos = tag_match.end()
         while (attr := _ATTR_RE.match(text, pos)).lastgroup not in (
                 None, "tag_close", "unclosed_value"):
-            self._attribute(tag, attr, prefix)
             pos = attr.end()
+            name = attr["name"]
+            if TOKEN_PREFIX in name:
+                self._classify(name, 0, len(name), prefix,
+                               BrowserContext.Unknown)
+            ctx = _CONTEXT.get(attr.lastgroup)
+            if ctx is None:  # no value
+                continue
+            value = attr[attr.lastgroup]
+            if "&" in value:
+                value = entity_decode(value)
+            name = name.lower()
+            if name.startswith("on"):
+                self.js_scan(value, prefix + (ctx,))
+            elif name == "style":
+                self.css_scan(value, prefix + (ctx,))
+            elif name in URI_ATTRIBUTES:
+                script_src = tag == "script" and name == "src"
+                self.uri_scan(value, prefix + (ctx,), script_src=script_src)
+            elif TOKEN_PREFIX in value:
+                self._classify(value, 0, len(value), prefix, ctx)
         if attr.lastgroup == "unclosed_value":
             # Unterminated value swallows the rest; cover the whole
             # attribute so its name is not lost either.
@@ -263,25 +293,6 @@ class ModelBrowser:
             self.css_scan(text[start:end], prefix + (BrowserContext.HtmlStyleData,))
         return end
 
-    def _attribute(self, tag: str, attr: re.Match,
-                   prefix: ContextSequence) -> None:
-        name = attr["name"]
-        self._classify(name, 0, len(name), prefix, BrowserContext.Unknown)
-        ctx = _CONTEXT.get(attr.lastgroup)
-        if ctx is None:  # no value
-            return
-        decoded = entity_decode(attr[attr.lastgroup])
-        lname = name.lower()
-        if lname.startswith("on"):
-            self.js_scan(decoded, prefix + (ctx,))
-        elif lname == "style":
-            self.css_scan(decoded, prefix + (ctx,))
-        elif lname in URI_ATTRIBUTES:
-            script_src = tag == "script" and lname == "src"
-            self.uri_scan(decoded, prefix + (ctx,), script_src=script_src)
-        else:
-            self._classify(decoded, 0, len(decoded), prefix, ctx)
-
     # -- JavaScript --------------------------------------------------------
 
     def js_scan(self, text: str, prefix: ContextSequence = ()) -> None:
@@ -291,9 +302,7 @@ class ModelBrowser:
         once it has passed the last token prefix.
         """
         self.scan_count += 1
-        last = text.rfind(TOKEN_PREFIX)
-        if last >= 0:
-            self._lex(text, tuple(prefix), _JS, BrowserContext.JsCode, 0, last)
+        self._lex(text, tuple(prefix), _JS, BrowserContext.JsCode, False)
 
     # -- CSS ----------------------------------------------------------------
 
@@ -303,38 +312,43 @@ class ModelBrowser:
         Tokens in declaration values, strings and comments get their own
         contexts; selector and property-name positions are Unknown.
         url(...) payloads are unescaped and handed to the URI scanner.
+        ``nxt`` is carried as in ``_lex``.
         """
         self.scan_count += 1
         prefix = tuple(prefix)
         pos = 0
+        nxt = text.find(TOKEN_PREFIX)
         in_value = False
         for match in _CSS.finditer(text):
             group = match.lastgroup
             if in_value and group == "value_start":
                 continue
             start = match.start()
-            if text.find(TOKEN_PREFIX, pos, start) >= 0:
+            if 0 <= nxt < start:
                 self._classify(text, pos, start, prefix, _CSS_DEFAULT[in_value])
+                nxt = text.find(TOKEN_PREFIX, start)
             pos = match.end()
             if group == "value_start" or group == "value_end":
+                # One punctuation character, so nxt is still past it.
                 in_value = group == "value_start"
                 continue
             lo, hi = match.span(group)
             ctx = _CONTEXT.get(group)
-            if ctx is not None:
-                if text.find(TOKEN_PREFIX, lo, hi) >= 0:
-                    self._classify(text, lo, hi, prefix, ctx)
-                continue
-            payload = match[group]
-            if group == "url_bare":
-                payload = payload.strip()
-            self.uri_scan(css_unescape(payload), prefix)
-            # The text between a closing quote and ")"; a bare payload
-            # runs up to ")", so its tail is empty.
-            lo = hi + 1
-            hi = pos - 1 if text.endswith(")", lo, pos) else pos
-            self._classify(text, lo, hi, prefix, BrowserContext.Unknown)
-        if text.find(TOKEN_PREFIX, pos) >= 0:
+            if ctx is None:
+                payload = match[group]
+                if group == "url_bare":
+                    payload = payload.strip()
+                self.uri_scan(css_unescape(payload), prefix)
+                # The text between a closing quote and ")"; a bare
+                # payload runs up to ")", so its tail is empty.
+                ctx = BrowserContext.Unknown
+                lo = hi + 1
+                hi = pos - 1 if text.endswith(")", lo, pos) else pos
+            if 0 <= nxt < hi:
+                self._classify(text, lo, hi, prefix, ctx)
+            if 0 <= nxt < pos:
+                nxt = text.find(TOKEN_PREFIX, pos)
+        if nxt >= 0:
             self._classify(text, pos, len(text), prefix, _CSS_DEFAULT[in_value])
 
     # -- URI ------------------------------------------------------------------
@@ -383,7 +397,8 @@ class ModelBrowser:
                                BrowserContext.Uri)
                 self.html_scan(document, prefix + (BrowserContext.Uri,))
                 return
-        self._classify(text, 0, len(text), prefix, BrowserContext.Uri)
+        if TOKEN_PREFIX in text:
+            self._classify(text, 0, len(text), prefix, BrowserContext.Uri)
 
 
 def analyze(document: str, registry: SinkRegistry) -> list[Finding]:

@@ -92,4 +92,6 @@ def read_bundle(path) -> Bundle:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise BundleError(f"bundle is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise BundleError("bundle JSON is nested too deeply") from None
     return load_bundle(data)

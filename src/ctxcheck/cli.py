@@ -55,7 +55,11 @@ def _read_text(path: str) -> str:
 
 def _read_env(path: str) -> dict:
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise BundleError(
+                "environment file JSON is nested too deeply") from None
     if not isinstance(data, dict):
         raise BundleError("environment file must hold an object")
     return data

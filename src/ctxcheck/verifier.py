@@ -118,7 +118,11 @@ def validate_context_map(cmap: ContextMap) -> ContextMap:
 def load_context_map(path) -> ContextMap:
     """Load a map from a JSON file: sanitizer id -> list of name lists."""
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ContextMapError(
+                "context map JSON is nested too deeply") from None
     if not isinstance(data, dict):
         raise ContextMapError("context map file must hold an object")
     cmap: ContextMap = {}

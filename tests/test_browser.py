@@ -297,14 +297,30 @@ def test_forgiving_on_malformed_markup():
         assert findings[0].context == expected, document
 
 
+def test_attribute_free_tags_and_raw_text_tags_of_any_case():
+    # Attribute-free tags are matched by the HTML table, except those
+    # that open script or style content, whatever their case.
+    registry, token = _registry_with_token()
+    for document, expected in [
+        (f"<SCRIPT>var s='{token}'</SCRIPT>", (C.HtmlScriptData, C.JsStringSq)),
+        (f"<Style >a{{color: {token}}}</style>", (C.HtmlStyleData, C.CssDeclValue)),
+        (f"<p>{token}", (C.HtmlText,)),
+        (f"<br/>{token}", (C.HtmlText,)),
+        (f"<p/>{token}", (C.HtmlText,)),
+    ]:
+        findings = analyze(document, registry)
+        assert [f.context for f in findings] == [expected], document
+
+
 _REFERENCE_REGISTRY = SinkRegistry(seed=4)
 _REFERENCE_TOKENS = tuple(
     _REFERENCE_REGISTRY.register(frozenset({("o", ())}), f"s{i}") for i in range(2))
 FRAGMENTS = (
     # tags, quoted and unquoted attributes
-    "<", ">", "</", "/>", "<p>", "<a ", "<a href=", "<div onclick=",
-    "<b style=", "<iframe src=", "<script src=", "<script>", "</script",
-    "</script>", "<style>", "</style>", "<!", "<?", " x=", "=", '"v"', "'v'",
+    "<", ">", "</", "/>", "<p>", "<P>", "<br/>", "<p/>", "<a ", "<a href=",
+    "<div onclick=", "<b style=", "<iframe src=", "<script src=", "<script>",
+    "<SCRIPT>", "</script", "</script>", "<style>", "<Style >", "</style>",
+    "<!", "<?", " x=", "=", '"v"', "'v'",
     # quotes, escapes, comments, raw-text ends, CSS
     '"', "'", "`", "\\", "//", "/*", "*/", "<!--", "-->", "url(", "URL(",
     ")", ":", ";", "{", "}",
@@ -338,3 +354,27 @@ def test_scanners_match_the_reference_browser(pieces, script_src):
         getattr(reference, f"{kind}_scan")(text, (), **kwargs)
         assert browser.findings == reference.findings, kind
         assert browser.scan_count == reference.scan_count, kind
+
+
+# Fuzz documents: at most 80 pieces, each a fragment above (at most 41
+# characters) or arbitrary text of at most 24, so at most 3,280
+# characters besides the one to three registered tokens placed among
+# them.  analyze finds exactly the registered tokens or raises
+# MissingToken; no other exception escapes.
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(FRAGMENTS), st.text(max_size=24)),
+                max_size=80),
+       st.lists(st.integers(min_value=0, max_value=80), min_size=1, max_size=3))
+def test_analyze_finds_the_registered_tokens_or_reports_one_missing(pieces, places):
+    registry = SinkRegistry(seed=7)
+    tokens = [registry.register(frozenset({("o", ())}), f"s{i}")
+              for i in range(len(places))]
+    pieces = list(pieces)
+    for token, at in zip(tokens, places):
+        pieces.insert(min(at, len(pieces)), token)
+    try:
+        findings = analyze("".join(pieces), registry)
+    except MissingToken as missing:
+        assert missing.token in tokens
+        return
+    assert {f.token for f in findings} == set(tokens)

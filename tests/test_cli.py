@@ -321,6 +321,19 @@ def test_exit_code_two_on_input_that_is_not_utf8(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: "), argv
 
 
+def test_exit_code_two_on_deeply_nested_json(tmp_path, capsys):
+    # json.load raises RecursionError on deep nesting; it used to end in
+    # a traceback and exit code 1, the "flaw found" code.
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    template, env = _write_case(tmp_path, FLAWED_SCRIPT_STRING)
+    for argv in (["analyze", str(nested)],
+                 ["check", template, str(nested)],
+                 ["check", template, env, "--context-map", str(nested)]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+
+
 def test_report_counts_match_verdict_recount(tmp_path, capsys):
     code, report = _check(tmp_path, capsys, JS_CODE_ARGUMENT)
     assert code == 1
