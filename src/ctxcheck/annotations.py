@@ -77,9 +77,15 @@ class SinkRegistry:
                 return token
 
     def register(self, taint: TaintRecord, sink: SinkId) -> str:
-        """Create a fresh token for a tainted value reaching a sink."""
+        """Create a fresh token for a tainted value reaching a sink.
+
+        ``new_token`` makes a well-formed, unused token, so only the
+        taint is checked here; ``add`` checks all of an outside token.
+        """
         token = self.new_token()
-        self.add(token, taint, sink)
+        if not taint:
+            raise RegistrationError("refusing to register an untainted value")
+        self._entries[token] = RegistryEntry(frozenset(taint), sink)
         return token
 
     def add(self, token: str, taint: TaintRecord, sink: SinkId) -> None:

@@ -79,8 +79,19 @@ def _render_bundle(args) -> Bundle:
     return Bundle(document, registry)
 
 
+def _pattern_values() -> dict:
+    """Each bug pattern's report name, and None for a sufficient verdict."""
+    return {None: None, **{pattern: pattern.value for pattern in BugPattern}}
+
+
 def _report_dict(findings, verdicts: list[Verdict], summary: ReportSummary,
                  clean_document: str) -> dict:
+    # Each distinct context sequence is named once per report; every
+    # verdict's context is one of the findings'.  json writes a shared
+    # list, and a tuple, the same as a fresh list.
+    names = {context: sequence_names(context)
+             for context in {f.context for f in findings}}
+    patterns = _pattern_values()
     return {
         "summary": {
             "sanitizations": summary.sanitizations,
@@ -90,24 +101,24 @@ def _report_dict(findings, verdicts: list[Verdict], summary: ReportSummary,
         "findings": [
             {
                 "token": f.token,
-                "context": sequence_names(f.context),
+                "context": names[f.context],
                 "excerpt": f.excerpt,
             }
             for f in findings
         ],
         "patterns": {
-            pattern.value: count
+            patterns[pattern]: count
             for pattern, count in summary.pattern_counts.items()
         },
         "verdicts": [
             {
                 "token": v.token,
                 "origin": v.triple.origin,
-                "chain": list(v.triple.chain),
+                "chain": v.triple.chain,
                 "sink": v.triple.sink,
-                "context": sequence_names(v.context),
+                "context": names[v.context],
                 "sufficient": v.sufficient,
-                "pattern": v.pattern.value if v.pattern else None,
+                "pattern": patterns[v.pattern],
             }
             for v in verdicts
         ],
@@ -126,15 +137,18 @@ def _report_text(verdicts: list[Verdict], summary: ReportSummary) -> str:
         for pattern, count in summary.pattern_counts.items():
             lines.append(f"  {PATTERN_LABELS[pattern]}: {count}")
     if verdicts:
+        formatted = {context: format_sequence(context)
+                     for context in {v.context for v in verdicts}}
+        patterns = _pattern_values()
         lines.append("")
         lines.append("verdicts:")
         for v in verdicts:
             status = "ok  " if v.sufficient else "FLAW"
             chain = "|".join(v.triple.chain) or "-"
             line = (f"  {status} origin={v.triple.origin} chain={chain}"
-                    f" sink={v.triple.sink} context={format_sequence(v.context)}")
+                    f" sink={v.triple.sink} context={formatted[v.context]}")
             if v.pattern:
-                line += f" pattern={v.pattern.value}"
+                line += f" pattern={patterns[v.pattern]}"
             lines.append(line)
     return "\n".join(lines)
 
@@ -150,7 +164,9 @@ def _analyze_bundle(bundle: Bundle, args) -> int:
             handle.write(clean)
     if args.format == "json":
         # Without indent, json uses its C encoder: one line, same value.
-        print(json.dumps(_report_dict(findings, verdicts, summary, clean)))
+        # The report is a fresh tree with no cycle to look for.
+        print(json.dumps(_report_dict(findings, verdicts, summary, clean),
+                         check_circular=False))
     else:
         print(_report_text(verdicts, summary))
     return 1 if summary.incorrect else 0
@@ -186,8 +202,9 @@ def cmd_contexts(args) -> int:
 def _add_render_arguments(parser) -> None:
     parser.add_argument("template", help="template file")
     parser.add_argument("env", help="environment JSON file")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="token generator seed (default 0)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="token generator seed, for reproducible tokens "
+                             "(default: fresh OS entropy on every run)")
     parser.add_argument("--mode", default="full",
                         choices=[m.value for m in TrackingMode],
                         help="taint tracking mode")

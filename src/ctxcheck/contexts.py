@@ -31,6 +31,11 @@ class BrowserContext(enum.Enum):
     UriScriptSrc = "UriScriptSrc"
     Unknown = "Unknown"
 
+    # Members are singletons, so identity is equality.  Enum's own hash
+    # is a Python-level hash of the name, paid on every context tuple
+    # used as a dict key.
+    __hash__ = object.__hash__
+
 
 # Ordered list of contexts, one per nested parser invocation.
 ContextSequence = tuple[BrowserContext, ...]

@@ -79,6 +79,10 @@ def parse_template(source: str) -> Template:
     Each expansion gets a sink id of the form ``template:<ordinal>``.
     """
     nodes: list[Node] = []
+    # Expansion text -> (path, filters).  Templates repeat a few
+    # expansions many times, so each distinct text is validated once;
+    # a bad one raises before it is stored, at its first offset.
+    parsed: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
     ordinal = 0
     i = 0
     n = len(source)
@@ -92,20 +96,22 @@ def parse_template(source: str) -> Template:
         end = source.find("}}", start + 2)
         if end == -1:
             raise TemplateSyntaxError("unterminated expansion", offset=start)
-        inner = source[start + 2:end]
-        parts = [part.strip() for part in inner.split("|")]
-        dotted = parts[0]
-        segments = tuple(dotted.split("."))
-        if not dotted or not all(_IDENT_RE.fullmatch(s) for s in segments):
-            raise TemplateSyntaxError(f"invalid value path {dotted!r}",
-                                      offset=start)
-        filters = tuple(parts[1:])
-        for name in filters:
-            if name not in FILTERS:
-                raise TemplateSyntaxError(f"unknown filter {name!r}",
+        raw = source[start:end + 2]
+        spec = parsed.get(raw)
+        if spec is None:
+            parts = [part.strip() for part in raw[2:-2].split("|")]
+            dotted = parts[0]
+            segments = tuple(dotted.split("."))
+            if not dotted or not all(_IDENT_RE.fullmatch(s) for s in segments):
+                raise TemplateSyntaxError(f"invalid value path {dotted!r}",
                                           offset=start)
-        nodes.append(Expansion(segments, filters, f"template:{ordinal}",
-                               source[start:end + 2]))
+            filters = tuple(parts[1:])
+            for name in filters:
+                if name not in FILTERS:
+                    raise TemplateSyntaxError(f"unknown filter {name!r}",
+                                              offset=start)
+            spec = parsed[raw] = (segments, filters)
+        nodes.append(Expansion(*spec, f"template:{ordinal}", raw))
         ordinal += 1
         i = end + 2
     return Template(tuple(nodes))
@@ -147,15 +153,23 @@ def render(template: Template, env: Environment, *,
     """
     registry = SinkRegistry(seed=seed)
     out: list[str] = []
+    # (path, filters) -> the escaped value.  Values are immutable, so
+    # each distinct expansion is resolved and filtered once per call;
+    # every sink still gets its own token and registry entry.
+    values: dict[tuple[tuple[str, ...], tuple[str, ...]], TaintedText] = {}
     for node in template.nodes:
         if isinstance(node, Literal):
             out.append(node.text)
             continue
-        value = resolve_path(env, node.path, mode=mode)
-        for name in node.filters:
-            value = FILTERS[name](value)
-        if not value.safe_marked:
-            value = html_escape(value)
+        key = (node.path, node.filters)
+        value = values.get(key)
+        if value is None:
+            value = resolve_path(env, node.path, mode=mode)
+            for name in node.filters:
+                value = FILTERS[name](value)
+            if not value.safe_marked:
+                value = html_escape(value)
+            values[key] = value
         if annotate:
             emit_to_sink(value, node.site, out, registry)
         else:

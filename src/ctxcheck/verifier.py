@@ -51,6 +51,9 @@ class BugPattern(enum.Enum):
     HtmlInCssValue = "HtmlInCssValue"
     OtherMismatch = "OtherMismatch"
 
+    # Singletons, hashed by identity as BrowserContext is.
+    __hash__ = object.__hash__
+
 
 class SanitizationTriple(NamedTuple):
     """Deduplication key for counting distinct sanitization instances."""
@@ -60,8 +63,7 @@ class SanitizationTriple(NamedTuple):
     sink: SinkId
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     token: str
     triple: SanitizationTriple
     context: ContextSequence
@@ -204,18 +206,23 @@ def verify(findings: list[Finding], registry: SinkRegistry,
                   BugPattern | None] = {}
     for finding in findings:
         entry = registry[finding.token]
-        for origin, chain in sorted(entry.taint):
+        context = finding.context
+        taint = entry.taint
+        # A set's order follows string hashes, which differ between
+        # runs; one entry, the common case, has no order to fix.
+        for origin, chain in (sorted(taint) if len(taint) > 1 else taint):
             triple = SanitizationTriple(origin, chain, entry.sink)
-            key = (triple, finding.context)
+            key = (triple, context)
             if key in verdicts:
                 continue
-            pair = (chain, finding.context)
-            if pair not in decided:
-                decided[pair] = (
-                    None if sufficient(chain, finding.context, cmap)
-                    else classify(chain, finding.context))
-            verdicts[key] = Verdict(finding.token, triple, finding.context,
-                                    decided[pair])
+            pair = (chain, context)
+            try:
+                pattern = decided[pair]
+            except KeyError:
+                pattern = decided[pair] = (
+                    None if sufficient(chain, context, cmap)
+                    else classify(chain, context))
+            verdicts[key] = Verdict(finding.token, triple, context, pattern)
     return list(verdicts.values())
 
 

@@ -3,10 +3,12 @@
 The sufficiency oracle enumerates the full concatenation product of the
 handled-context sets, which is exactly the definition the fast
 implementation must agree with.  It stays deliberately naive.  The
-strip oracle is the original one-replace-per-token annotation strip,
-and the browser oracle the original hand-written scanners, changed
-only where the model was deliberately fixed: the text between a quoted
-url() payload's closing quote and ")" is classified Unknown.
+render oracle expands every node on its own, as render did before it
+shared the value of a repeated expansion.  The strip oracle is the
+original one-replace-per-token annotation strip, and the browser oracle
+the original hand-written scanners, changed only where the model was
+deliberately fixed: the text between a quoted url() payload's closing
+quote and ")" is classified Unknown.
 """
 
 from __future__ import annotations
@@ -16,9 +18,13 @@ import itertools
 import random
 import re
 
-from ctxcheck.annotations import TOKEN_RE, UnknownResidue
+from ctxcheck.annotations import (TOKEN_RE, SinkRegistry, UnknownResidue,
+                                  emit_to_sink)
 from ctxcheck.contexts import BrowserContext, ContextSequence, Finding
 from ctxcheck.decoders import css_unescape, entity_decode, percent_decode
+from ctxcheck.sanitizers import html_escape
+from ctxcheck.taint import TrackingMode
+from ctxcheck.template import FILTERS, Literal, resolve_path
 
 # Alphabet for randomized maps and contexts; excludes the two contexts
 # that a valid map may never handle so generated maps stay loadable.
@@ -118,6 +124,29 @@ def remove_literal_occurrences(document: str, tokens) -> str:
         pos = end
     kept.append(document[pos:])
     return "".join(kept)
+
+
+def reference_render(template, env, *, seed=None,
+                     mode=TrackingMode.FULL, annotate=True):
+    """Reference template expansion: every expansion node resolves,
+    filters and escapes its own value, with nothing shared between
+    nodes that repeat an expansion."""
+    registry = SinkRegistry(seed=seed)
+    out = []
+    for node in template.nodes:
+        if isinstance(node, Literal):
+            out.append(node.text)
+            continue
+        value = resolve_path(env, node.path, mode=mode)
+        for name in node.filters:
+            value = FILTERS[name](value)
+        if not value.safe_marked:
+            value = html_escape(value)
+        if annotate:
+            emit_to_sink(value, node.site, out, registry)
+        else:
+            out.append(value.text)
+    return "".join(out), registry
 
 
 # -- Reference model browser ---------------------------------------------

@@ -2,7 +2,12 @@ from __future__ import annotations
 
 import json
 
+from ctxcheck.annotations import strip_annotations
+from ctxcheck.browser import analyze
 from ctxcheck.cli import main
+from ctxcheck.contexts import sequence_names
+from ctxcheck.template import parse_template, render
+from ctxcheck.verifier import aggregate, default_context_map, verify
 
 from corpus import (
     ALL_CORRECT_SHOP,
@@ -113,6 +118,68 @@ def test_render_is_deterministic_per_seed(tmp_path, capsys):
     assert outputs[0] == outputs[1]
     assert main(["render", template, env, "--seed", "10"]) == 0
     assert capsys.readouterr().out != outputs[0]
+
+
+def test_tokens_come_from_os_entropy_without_a_seed(tmp_path, capsys):
+    template, env = _write_case(tmp_path, ALL_CORRECT_SHOP)
+    tokens = []
+    for _ in range(2):
+        assert main(["render", template, env]) == 0
+        tokens.append(set(json.loads(capsys.readouterr().out)["registry"]))
+    assert tokens[0] and not tokens[0] & tokens[1]
+    runs = []
+    for index in range(2):
+        clean = tmp_path / f"clean{index}.html"
+        code = main(["check", template, env, "--format", "json",
+                     "--clean-out", str(clean)])
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        runs.append((code, clean.read_bytes(),
+                     [{k: v for k, v in verdict.items() if k != "token"}
+                      for verdict in verdicts],
+                     {verdict["token"] for verdict in verdicts}))
+    assert runs[0][:3] == runs[1][:3]
+    assert not runs[0][3] & runs[1][3]
+
+
+def test_json_report_with_shared_contexts_encodes_as_before(tmp_path,
+                                                            capsys):
+    # Findings that share context sequences and patterns: the report
+    # must encode to the text that fresh per-finding lists gave.
+    source = ('<p>{{a}}</p><p>{{b}}</p><p>{{a}}</p><a href="{{a}}">x</a>'
+              '<a href="{{b}}">y</a><script>var s = "{{a|escapejs}}",'
+              ' t = "{{b}}", u = "{{a}}";</script>\n')
+    env = {"a": "O'Neil & <co>", "b": 7}
+    template_path = tmp_path / "shared.tpl"
+    env_path = tmp_path / "shared.env.json"
+    template_path.write_text(source, encoding="utf-8")
+    env_path.write_text(json.dumps(env), encoding="utf-8")
+    assert main(["check", str(template_path), str(env_path), "--format",
+                 "json", "--seed", "5"]) == 1
+    out = capsys.readouterr().out
+
+    document, registry = render(parse_template(source), env, seed=5)
+    findings = analyze(document, registry)
+    verdicts = verify(findings, registry, default_context_map())
+    summary = aggregate(verdicts)
+    expected = json.dumps({
+        "summary": {"sanitizations": summary.sanitizations,
+                    "correct": summary.correct,
+                    "incorrect": summary.incorrect},
+        "findings": [{"token": f.token,
+                      "context": sequence_names(f.context),
+                      "excerpt": f.excerpt} for f in findings],
+        "patterns": {pattern.value: count
+                     for pattern, count in summary.pattern_counts.items()},
+        "verdicts": [{"token": v.token, "origin": v.triple.origin,
+                      "chain": list(v.triple.chain), "sink": v.triple.sink,
+                      "context": sequence_names(v.context),
+                      "sufficient": v.sufficient,
+                      "pattern": v.pattern.value if v.pattern else None}
+                     for v in verdicts],
+        "clean_document": strip_annotations(document, registry),
+    })
+    assert len({f.context for f in findings}) < len(findings)
+    assert out == expected + "\n"
 
 
 def test_render_literals_only_has_empty_registry(tmp_path, capsys):

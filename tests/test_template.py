@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ctxcheck.taint import EMPTY_TAINT, TrackingMode
 from ctxcheck.template import (
+    FILTERS,
     Expansion,
     Literal,
     TemplateSyntaxError,
@@ -11,6 +14,8 @@ from ctxcheck.template import (
     render,
     resolve_path,
 )
+
+from oracles import reference_render
 
 
 def test_parse_literal_and_expansion():
@@ -46,6 +51,21 @@ def test_parse_invalid_path():
         parse_template("{{x..y}}")
     with pytest.raises(TemplateSyntaxError):
         parse_template("{{ }}")
+
+
+def test_parse_error_offset_is_the_first_bad_expansion():
+    # Repeats of a valid expansion are parsed once; a bad one raises at
+    # its first occurrence, also when the same bad text comes again.
+    cases = {
+        "{{a}} {{x|shout}} {{x|shout}}": 6,
+        "{{a}}{{a}} {{b..c}}{{a}}{{b..c}}": 11,
+        "{{ a }}{{a}}{{ a }} {{a | shout}}": 20,
+        "{{a|escape}}{{a|escape}}{{": 24,
+    }
+    for source, offset in cases.items():
+        with pytest.raises(TemplateSyntaxError) as err:
+            parse_template(source)
+        assert err.value.offset == offset, source
 
 
 def test_template_round_trips_to_source():
@@ -161,3 +181,53 @@ def test_tainted_expansions_register_exactly_once():
     assert len(registry) == 2
     sinks = sorted(entry.sink for _, entry in registry.items())
     assert sinks == ["template:0", "template:1"]
+
+
+# Leaves of every kind resolve_path handles, and paths that hit a leaf,
+# a mapping, a missing key or a key below a string leaf.
+_LEAVES = st.one_of(st.text(alphabet="ab<>\"'&/ %", max_size=4),
+                    st.integers(-1000, 1000), st.floats(width=16),
+                    st.booleans())
+_ENVS = st.fixed_dictionaries({
+    "a": _LEAVES, "b": _LEAVES,
+    "n": st.fixed_dictionaries({"x": _LEAVES, "y": _LEAVES}),
+})
+_PATHS = ("a", "b", "n", "n.x", "n.y", "n.z", "a.x", "gone", "gone.deep")
+
+
+@st.composite
+def _templates(draw):
+    """Template source over a few paths and filter chains, so that one
+    path comes with several chains and each expansion repeats, written
+    with and without spaces."""
+    paths = draw(st.lists(st.sampled_from(_PATHS), min_size=1, max_size=3))
+    chains = draw(st.lists(st.lists(st.sampled_from(sorted(FILTERS)),
+                                    max_size=3),
+                           min_size=1, max_size=3))
+    pieces = draw(st.lists(
+        st.one_of(st.tuples(st.sampled_from(paths), st.sampled_from(chains),
+                            st.booleans()),
+                  st.text(alphabet="<>\"'= ab/", max_size=4)),
+        max_size=20))
+    source = []
+    for piece in pieces:
+        if isinstance(piece, str):
+            source.append(piece)
+        elif piece[2]:
+            source.append("{{ %s }}" % " | ".join([piece[0], *piece[1]]))
+        else:
+            source.append("{{%s}}" % "|".join([piece[0], *piece[1]]))
+    return "".join(source)
+
+
+@given(_templates(), _ENVS, st.integers(0, 2**64))
+def test_render_matches_the_per_node_reference(source, env, seed):
+    template = parse_template(source)
+    for mode in TrackingMode:
+        for annotate in (True, False):
+            document, registry = render(template, env, seed=seed, mode=mode,
+                                        annotate=annotate)
+            expected, reference = reference_render(
+                template, env, seed=seed, mode=mode, annotate=annotate)
+            assert document == expected
+            assert list(registry.items()) == list(reference.items())

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import json
+import pickle
 import random
 
 import pytest
 
 from ctxcheck.annotations import SinkRegistry
 from ctxcheck.contexts import BrowserContext as C
-from ctxcheck.contexts import Finding
+from ctxcheck.contexts import Finding, sequence_from_names
 from ctxcheck.verifier import (
     BugPattern,
     ContextMapError,
@@ -254,6 +255,24 @@ def test_load_context_map_round_trip(tmp_path):
     cmap = load_context_map(path)
     assert cmap["strip_tags"] == frozenset({(C.HtmlText,), ()})
     assert sufficient(("css_escape",), (C.HtmlAttrDq, C.CssDeclValue), cmap)
+    # Contexts and patterns hash by identity; members that come back
+    # from names, values and pickles are the same objects, so they
+    # still find their dict entries.
+    assert (sequence_from_names(["HtmlAttrDq", "CssDeclValue"])
+            in cmap["css_escape"])
+    by_sequence = {sequence: index
+                   for index, sequence in enumerate(sorted(
+                       cmap["strip_tags"], key=len))}
+    assert by_sequence[sequence_from_names(["HtmlText"])] == 1
+    names = [ctx.value for ctx in C]
+    by_context = {ctx: ctx.value for ctx in C}
+    assert [by_context[ctx] for ctx in sequence_from_names(names)] == names
+    assert pickle.loads(pickle.dumps(tuple(C))) in {tuple(C): True}
+    by_pattern = {pattern: pattern.value for pattern in BugPattern}
+    for pattern in BugPattern:
+        for same in (BugPattern(pattern.value), BugPattern[pattern.name],
+                     pickle.loads(pickle.dumps(pattern))):
+            assert by_pattern[same] == pattern.value
 
 
 def test_load_context_map_rejects_bad_names(tmp_path):
