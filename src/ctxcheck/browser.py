@@ -13,17 +13,22 @@ map ``_CONTEXT`` from group name to the context of the group's text.
 ``ModelBrowser._lex`` runs the HTML and JavaScript tables over a text in
 one loop; an attribute-free tag is a table match, and any other start
 tag is read by ``_start_tag`` inside the loop, which resumes after the
-tag and its raw text.  CSS runs its own single-pass loop over one table,
-because a ``:`` starts a declaration value only outside one.
+tag and its raw text.  CSS runs its own loop over a table of the
+constructs that own a context or hand text on: comments, strings and
+``url()``.  The plain text between them only moves the declaration
+state, since ``:`` starts a value outside one and ``;``, ``{`` and ``}``
+end it; without a token prefix, plain text costs one match for its last
+punctuation, and with one it is split only around the prefix.
 
 Each loop carries the position of the next token prefix, so a token-free
 range costs an integer comparison, not a classification; tag names,
 attribute names, plain attribute values and plain URIs are classified
 only when they hold the prefix.  JavaScript strings and comments are
-terminal, so lexing a script stops after its last token prefix; HTML,
-CSS and URI text is walked to its end, because entity, percent,
-CSS-escape and base64 decoding can reveal a token that the raw text
-does not spell.
+terminal, so lexing a script stops after its last token prefix, and the
+code and closed strings and comments before each prefix are consumed by
+one match, a stride, that ends where a table match ends.  HTML, CSS and
+URI text is walked to its end, because entity, percent, CSS-escape and
+base64 decoding can reveal a token that the raw text does not spell.
 
 The HTML scanner is deliberately forgiving.  Regions it cannot make
 sense of (tag and attribute names, declarations, unterminated
@@ -61,24 +66,54 @@ _DATA_URI_RE = re.compile(r"\s*data:([^,]*),(.*)\Z", re.I | re.S)
 _EXCERPT_MARGIN = 40
 
 
-def _quoted(quote: str, group: str, newline_ends: bool) -> str:
+def _quoted(quote: str, group: str | None, newline_ends: bool) -> str:
     """Pattern of a quoted string with backslash escapes.
 
     The text between the quotes is captured in ``group``.  A backslash
     escapes any character, newlines included.  The string ends at the
     closing quote, at an unescaped newline when ``newline_ends``, or at
     the end of the text; the quote or newline is consumed but is not
-    part of the body.
+    part of the body.  Without a ``group``, as for every construct
+    builder here, the pattern captures nothing and matches only a
+    string that its quote or newline closes.
     """
     newline = r"\n" if newline_ends else ""
     plain = rf"[^{quote}\\{newline}]*"
     close = rf"{quote}|\n" if newline_ends else quote
-    return (rf"{quote}(?P<{group}>{plain}(?:\\[\s\S]{plain})*\\?)"
-            rf"(?:{close}|\Z)")
+    body = rf"{plain}(?:\\[\s\S]{plain})*"
+    if group is None:
+        return rf"{quote}{body}(?:{close})"
+    return rf"{quote}(?P<{group}>{body}\\?)(?:{close}|\Z)"
 
 
-# A /* */ comment that runs to the end of the text when unclosed.
-_BLOCK_COMMENT = r"/\*(?P<%s>[^*]*(?:\*(?!/)[^*]*)*)(?:\*/)?"
+def _block_comment(group: str | None) -> str:
+    """A /* */ comment that runs to the end of the text when unclosed."""
+    body = r"[^*]*(?:\*(?!/)[^*]*)*"
+    if group is None:
+        return rf"/\*{body}\*/"
+    return rf"/\*(?P<{group}>{body})(?:\*/)?"
+
+
+def _line_comment(group: str | None) -> str:
+    """A // comment up to, not including, the end of its line."""
+    if group is None:
+        return r"//[^\n]*(?=\n)"
+    return rf"//(?P<{group}>[^\n]*)"
+
+
+def _js_constructs(closed: bool) -> list[str]:
+    """JavaScript's strings and comments; when ``closed``, only those
+    that their own delimiter ends, and without groups."""
+    def group(name: str) -> str | None:
+        return None if closed else name
+    return [
+        _quoted("'", group("js_sq"), newline_ends=True),
+        _quoted('"', group("js_dq"), newline_ends=True),
+        _quoted("`", group("js_template"), newline_ends=False),
+        _line_comment(group("js_line_comment")),
+        _block_comment(group("js_block_comment")),
+    ]
+
 
 _TAG_NAME = "[a-zA-Z][a-zA-Z0-9:_-]*"
 _HTML = re.compile("|".join([
@@ -106,13 +141,19 @@ _RAW_TEXT_END = {
     tag: re.compile(rf"</{tag}(?=[{_WS}/>]|\Z)", re.I) for tag in ("script", "style")
 }
 
-_JS = re.compile("|".join([
-    _quoted("'", "js_sq", newline_ends=True),
-    _quoted('"', "js_dq", newline_ends=True),
-    _quoted("`", "js_template", newline_ends=False),
-    r"//(?P<js_line_comment>[^\n]*)",
-    _BLOCK_COMMENT % "js_block_comment",
-]))
+_JS = re.compile("|".join(_js_constructs(closed=False)))
+# Code and closed constructs, ending after a construct, where lexing
+# with _JS also stops.  _lex matches it only up to the next token
+# prefix, so it never enters the construct holding the prefix.  Each
+# repeat starts at a distinct delimiter, so a failed last repeat
+# backtracks over its own text only.
+_JS_CODE = r"[^'\"`/]*(?:/(?![/*])[^'\"`/]*)*"
+_JS_STRIDE = re.compile(
+    rf"(?:{_JS_CODE}(?:{'|'.join(_js_constructs(closed=True))}))*")
+# The regex engine keeps backtracking state for every repeat, about 16
+# bytes per character of a typical script (tracemalloc), so one stride
+# covers at most this many characters.
+_STRIDE_SPAN = 1 << 14
 
 # url( payloads: quoted, or bare up to ")".  Whatever follows a closing
 # quote up to ")" is not part of the URL; css_scan classifies it Unknown.
@@ -122,16 +163,21 @@ _CSS_URL = "".join([
     _quoted("'", "url_sq", newline_ends=False), "|",
     r"(?P<url_bare>[^)]*))[^)]*\)?",
 ])
-# ":" starts a declaration value only outside one (in selectors and
-# property names); css_scan skips it inside a value.
+# The constructs that own a context or hand text on.  The plain text
+# between them only moves the declaration state: ":" starts a value
+# outside one (in selectors and property names), and ";", "{" and "}"
+# end it.
 _CSS = re.compile("|".join([
-    _BLOCK_COMMENT % "css_comment",
+    _block_comment("css_comment"),
     _quoted('"', "css_dq", newline_ends=False),
     _quoted("'", "css_sq", newline_ends=False),
     _CSS_URL,
-    r"(?P<value_end>[;{}])",
-    r"(?P<value_start>:)",
 ]))
+# The last punctuation of a plain range, and its last value end.
+_CSS_LAST_PUNCT = re.compile(r".*[:;{}]", re.S)
+_CSS_LAST_VALUE_END = re.compile(r".*[;{}]", re.S)
+# Where a plain range ends, outside a value and inside one.
+_CSS_RANGE_END = (re.compile(r"[:;{}]"), re.compile(r"[;{}]"))
 # css_scan's default context outside a declaration value and inside one.
 _CSS_DEFAULT = (BrowserContext.Unknown, BrowserContext.CssDeclValue)
 
@@ -198,7 +244,7 @@ class ModelBrowser:
             self.findings.append(Finding(token, prefix + (ctx,), excerpt))
 
     def _lex(self, text: str, prefix: ContextSequence, table: re.Pattern,
-             default: BrowserContext, to_end: bool) -> None:
+             default: BrowserContext, stride: re.Pattern | None = None) -> None:
         """Classify ``text`` with a lexer table.
 
         Text between matches gets ``default`` and each match's group
@@ -206,12 +252,19 @@ class ModelBrowser:
         after ``pos`` (-1 if none), guards each range; a prefix that
         straddles a range's end costs a classification that finds
         nothing.  A start tag (a group without a context) is read by
-        ``_start_tag``.  Unless ``to_end``, lexing stops once no prefix
-        is left.
+        ``_start_tag``.  With a ``stride``, a pattern that ends only
+        where a table match ends, lexing stops once no prefix is left,
+        and each step first strides as far as it can before ``nxt``,
+        up to ``_STRIDE_SPAN`` characters.
         """
         pos = 0
         nxt = text.find(TOKEN_PREFIX)
-        while (to_end or nxt >= 0) and \
+        to_end = stride is None
+        # The stride sits in the condition, so HTML, which lexes to the
+        # end, skips it without a test of its own; its end is never
+        # negative, so it only moves pos.
+        while (to_end or nxt >= 0 and (pos := stride.match(
+                    text, pos, min(nxt, pos + _STRIDE_SPAN)).end()) >= 0) and \
                 (match := table.search(text, pos)) is not None:
             start = match.start()
             if 0 <= nxt < start:
@@ -239,7 +292,7 @@ class ModelBrowser:
         if len(prefix) >= MAX_NESTING:
             self._classify(text, 0, len(text), prefix, BrowserContext.Unknown)
             return
-        self._lex(text, prefix, _HTML, BrowserContext.HtmlText, True)
+        self._lex(text, prefix, _HTML, BrowserContext.HtmlText)
 
     def _start_tag(self, text: str, tag_match: re.Match,
                    prefix: ContextSequence) -> int:
@@ -299,10 +352,11 @@ class ModelBrowser:
         """Lex far enough to tell code, strings and comments apart.
 
         Nothing in a script is decoded or handed on, so lexing stops
-        once it has passed the last token prefix.
+        once it has passed the last token prefix, and the code and
+        closed constructs before each prefix are one stride.
         """
         self.scan_count += 1
-        self._lex(text, tuple(prefix), _JS, BrowserContext.JsCode, False)
+        self._lex(text, tuple(prefix), _JS, BrowserContext.JsCode, _JS_STRIDE)
 
     # -- CSS ----------------------------------------------------------------
 
@@ -312,7 +366,10 @@ class ModelBrowser:
         Tokens in declaration values, strings and comments get their own
         contexts; selector and property-name positions are Unknown.
         url(...) payloads are unescaped and handed to the URI scanner.
-        ``nxt`` is carried as in ``_lex``.
+        ``nxt`` is carried as in ``_lex``.  Plain text between
+        constructs is read by ``_css_plain`` when it holds a prefix;
+        otherwise only its last punctuation, which sets the declaration
+        state, is looked for.
         """
         self.scan_count += 1
         prefix = tuple(prefix)
@@ -320,18 +377,15 @@ class ModelBrowser:
         nxt = text.find(TOKEN_PREFIX)
         in_value = False
         for match in _CSS.finditer(text):
-            group = match.lastgroup
-            if in_value and group == "value_start":
-                continue
             start = match.start()
             if 0 <= nxt < start:
-                self._classify(text, pos, start, prefix, _CSS_DEFAULT[in_value])
-                nxt = text.find(TOKEN_PREFIX, start)
+                in_value, nxt = self._css_plain(text, pos, start, nxt,
+                                                prefix, in_value)
+            elif pos < start and \
+                    (last := _CSS_LAST_PUNCT.match(text, pos, start)):
+                in_value = text[last.end() - 1] == ":"
             pos = match.end()
-            if group == "value_start" or group == "value_end":
-                # One punctuation character, so nxt is still past it.
-                in_value = group == "value_start"
-                continue
+            group = match.lastgroup
             lo, hi = match.span(group)
             ctx = _CONTEXT.get(group)
             if ctx is None:
@@ -349,7 +403,37 @@ class ModelBrowser:
             if 0 <= nxt < pos:
                 nxt = text.find(TOKEN_PREFIX, pos)
         if nxt >= 0:
-            self._classify(text, pos, len(text), prefix, _CSS_DEFAULT[in_value])
+            self._css_plain(text, pos, len(text), nxt, prefix, in_value)
+
+    def _css_plain(self, text: str, lo: int, hi: int, nxt: int,
+                   prefix: ContextSequence, in_value: bool) -> tuple:
+        """Classify the ranges of plain CSS ``text[lo:hi]`` that hold a
+        token prefix, ``nxt`` being the first at or after ``lo``.
+
+        A range ends at ";", "{", "}" and, outside a value, at ":".  Only
+        the range around each prefix is found: it starts after the last
+        value end before the prefix, or after the first ":" that follows
+        that end when it is outside a value.  Text after the last prefix
+        costs one match for its last punctuation.  Returns the
+        declaration state at ``hi`` and the first prefix at or after
+        ``hi``.
+        """
+        while 0 <= nxt < hi:
+            if (last := _CSS_LAST_VALUE_END.match(text, lo, nxt)) is not None:
+                lo, in_value = last.end(), False
+            if not in_value and (colon := text.find(":", lo, nxt)) >= 0:
+                lo, in_value = colon + 1, True
+            end = _CSS_RANGE_END[in_value].search(text, nxt, hi)
+            end = hi if end is None else end.start()
+            self._classify(text, lo, end, prefix, _CSS_DEFAULT[in_value])
+            nxt = text.find(TOKEN_PREFIX, end)
+            if end == hi:
+                return in_value, nxt
+            in_value = text[end] == ":"
+            lo = end + 1
+        if (last := _CSS_LAST_PUNCT.match(text, lo, hi)) is not None:
+            in_value = text[last.end() - 1] == ":"
+        return in_value, nxt
 
     # -- URI ------------------------------------------------------------------
 

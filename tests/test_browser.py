@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import random
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctxcheck import browser as browser_module
 from ctxcheck.annotations import SinkRegistry
 from ctxcheck.browser import MAX_NESTING, MissingToken, ModelBrowser, analyze
 from ctxcheck.contexts import BrowserContext as C
@@ -324,6 +328,9 @@ FRAGMENTS = (
     # quotes, escapes, comments, raw-text ends, CSS
     '"', "'", "`", "\\", "//", "/*", "*/", "<!--", "-->", "url(", "URL(",
     ")", ":", ";", "{", "}",
+    # closed constructs, a ":" inside a value, a division, a whole url()
+    "'s'", '"s"', "`t`", "/*c*/", "//c\n", "'\\''", "a:b", "1/2", "url(x)",
+    "x;",
     # schemes, encodings, whitespace
     "javascript:", "data:text/html,", "data:text/html;base64,", "aGk=",
     "&quot;", "&#39;", "%27", "%22", "\n", "\t", " ", "a",
@@ -337,10 +344,13 @@ FRAGMENTS = (
 
 
 @settings(max_examples=600, deadline=None)
-@given(st.lists(st.sampled_from(FRAGMENTS), min_size=20, max_size=60), st.booleans())
-def test_scanners_match_the_reference_browser(pieces, script_src):
+@given(st.lists(st.sampled_from(FRAGMENTS), min_size=20, max_size=60), st.booleans(),
+       st.integers(min_value=1, max_value=64))
+def test_scanners_match_the_reference_browser(pieces, script_src, span):
     """Each scan entry point gives the findings and scan count of
     ReferenceBrowser, the hand-written scanners the lexer tables replaced.
+    A JavaScript stride may stop after any closed construct, so capping
+    it at any number of characters changes nothing.
 
     A ROADMAP item 3 fix that changes behaviour on purpose updates the
     reference with it.
@@ -350,8 +360,77 @@ def test_scanners_match_the_reference_browser(pieces, script_src):
                          ("uri", {"script_src": script_src})):
         browser = ModelBrowser(_REFERENCE_REGISTRY)
         reference = ReferenceBrowser(_REFERENCE_REGISTRY)
-        getattr(browser, f"{kind}_scan")(text, (), **kwargs)
+        with mock.patch.object(browser_module, "_STRIDE_SPAN", span):
+            getattr(browser, f"{kind}_scan")(text, (), **kwargs)
         getattr(reference, f"{kind}_scan")(text, (), **kwargs)
+        assert browser.findings == reference.findings, kind
+        assert browser.scan_count == reference.scan_count, kind
+
+
+# Script and style text like that of the benchmark's script-heavy pages;
+# $N is replaced by a number.
+_JS_STATEMENTS = (
+    "function fn$N(a, b) {\n  var t = a * $N + b / 3;\n"
+    "  return t > $N ? \"big\" : 'small';\n}\n",
+    "// helper $N: normalise the input\n",
+    'var label$N = "Item \\"$N\\" in \\\\ list";\n',
+    "/* block $N\n   spans two lines */\n",
+    "list$N.push({ id: $N, name: 'n$N', tags: [\"a\", \"b\"] });\n",
+    "if (x$N < $N && y$N > 2) { call$N(x$N); }\n",
+    "var tpl$N = `row-$N`;\n",
+)
+_CSS_RULES = (
+    ".c$N { color: #a$N; margin: 0 $Npx; "
+    "font-family: \"Helvetica Neue\", sans-serif; }\n",
+    "/* section $N */\n",
+    "#id$N > a:hover { background: url(\"/img/$N.png\") no-repeat; }\n",
+    "@media (max-width: $Npx) { .c$N { display: none; } }\n",
+    ".i$N::before { content: \"\\201C\"; }\n",
+)
+
+
+def _pieces(rng, pool, count):
+    return [rng.choice(pool).replace("$N", str(rng.randrange(10**4)))
+            for _ in range(count)]
+
+
+# Each input is a list of pieces; tokens go between pieces.
+_AT_SCALE = {
+    "sq-strings": lambda rng: ["'a';"] * 20000,
+    "dq-strings": lambda rng: ['"a";'] * 20000,
+    "line-comments": lambda rng: ["//c\n"] * 20000,
+    "slashes": lambda rng: ["/"] * 40000,
+    "colon-semicolon": lambda rng: [":;"] * 20000,
+    "unclosed-urls": lambda rng: ["url("] * 20000,
+    "backslash-pairs": lambda rng: ["'"] + ["\\\\"] * 20000,
+    "unclosed-template": lambda rng: ["`"] + ["a "] * 20000,
+    "css-rules": lambda rng: _pieces(rng, _CSS_RULES, 5000),
+    "js-statements": lambda rng: _pieces(rng, _JS_STATEMENTS, 5000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_AT_SCALE))
+def test_scanners_match_the_reference_browser_at_scale(name):
+    """Fifty tokens spread through long and hostile script and style
+    text: js_scan and css_scan give the findings and scan count of
+    ReferenceBrowser.  Each input repeats one construct that a stride
+    or a CSS plain range must step over, or leaves one open to the end
+    of the text."""
+    rng = random.Random(name)
+    registry = SinkRegistry(seed=5)
+    tokens = [registry.register(frozenset({("o", ())}), f"s{i}")
+              for i in range(50)]
+    pieces = _AT_SCALE[name](rng)
+    places = sorted(rng.sample(range(len(pieces) + 1), len(tokens)),
+                    reverse=True)
+    for token, at in zip(tokens, places):
+        pieces.insert(at, token)
+    text = "".join(pieces)
+    for kind in ("js", "css"):
+        browser = ModelBrowser(registry)
+        reference = ReferenceBrowser(registry)
+        getattr(browser, f"{kind}_scan")(text, ())
+        getattr(reference, f"{kind}_scan")(text, ())
         assert browser.findings == reference.findings, kind
         assert browser.scan_count == reference.scan_count, kind
 

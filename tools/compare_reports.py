@@ -1,0 +1,158 @@
+"""Compare what two ctxcheck source trees print for the benchmark inputs.
+
+Usage: python tools/compare_reports.py OLD_SRC NEW_SRC
+
+Each argument is a directory that holds the ``ctxcheck`` package, such
+as a checkout's ``src``, or a checkout whose ``src`` holds it.  Every
+input that ``benchmarks/workloads.py`` generates for seeds 1 and 2 is
+run through ``ctxcheck.cli.main`` once with ``--format json`` and once
+with ``--format text``; ``check`` also gets ``--seed 0``, so that its
+tokens are the same in both trees.  Each tree runs in its own process.
+The inputs are written to a temporary directory; nothing under
+``benchmarks/`` is changed.
+
+Prints the number of runs and the first run whose standard output,
+standard error or exit code differs between the trees.  Exits 1 if any
+run differs, 2 if a tree cannot be run, and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEEDS = (1, 2)
+FORMATS = ("json", "text")
+
+# Runs in the child: SRC RUNS OUT.  One JSON line per run in OUT:
+# [exit code, stdout, stderr].  An exception that escapes main is
+# recorded by its last traceback line, which names no file of the tree.
+RUNNER = r"""
+import contextlib, io, json, os, sys, traceback
+src, runs, out = sys.argv[1:]
+sys.path.insert(0, src)
+import ctxcheck.cli
+if not os.path.abspath(ctxcheck.cli.__file__).startswith(src + os.sep):
+    sys.exit(f"ctxcheck was imported from outside {src}")
+with open(runs, encoding="utf-8") as handle:
+    argvs = json.load(handle)
+with open(out, "w", encoding="utf-8") as results:
+    for argv in argvs:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            try:
+                code = ctxcheck.cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:
+                code = traceback.format_exception_only(type(exc), exc)[-1]
+        results.write(json.dumps([code, stdout.getvalue(),
+                                  stderr.getvalue()]) + "\n")
+"""
+
+
+class TreeError(Exception):
+    """A tree has no ctxcheck package, or its runs did not finish."""
+
+
+def package_dir(tree: str) -> str:
+    """The directory holding ``ctxcheck`` for a tree argument."""
+    for candidate in (tree, os.path.join(tree, "src")):
+        if os.path.isfile(os.path.join(candidate, "ctxcheck", "cli.py")):
+            return os.path.abspath(candidate)
+    raise TreeError(f"no ctxcheck package in {tree} or {tree}/src")
+
+
+def write_runs(work: str) -> list:
+    """Write every input file under ``work``; return (label, argv) pairs."""
+    sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
+    sys.dont_write_bytecode = True
+    from workloads import WORKLOADS
+
+    runs = []
+    for seed in SEEDS:
+        for workload, generate in WORKLOADS.items():
+            directory = os.path.join(work, f"{workload}-{seed}")
+            os.mkdir(directory)
+            cases = generate(seed)
+            names = set()
+            for case in cases:
+                for name, content in case.files.items():
+                    with open(os.path.join(directory, name), "w",
+                              encoding="utf-8") as handle:
+                        handle.write(content)
+                names.update(case.files)
+            for case in cases:
+                argv = [os.path.join(directory, arg) if arg in names else arg
+                        for arg in case.argv]
+                argv = argv[:argv.index("--format")]
+                if argv[0] == "check":
+                    argv += ["--seed", "0"]
+                label = f"{workload} seed {seed}: {' '.join(case.argv[:2])}"
+                for fmt in FORMATS:
+                    runs.append((f"{label} --format {fmt}",
+                                 argv + ["--format", fmt]))
+    return runs
+
+
+def run_tree(src: str, runs_path: str, out_path: str) -> None:
+    done = subprocess.run([sys.executable, "-c", RUNNER, src, runs_path,
+                           out_path], capture_output=True, text=True)
+    if done.returncode != 0:
+        raise TreeError(f"the runs of {src} failed:\n{done.stderr}")
+
+
+def first_difference(old: str, new: str) -> str:
+    """Where two texts part, with a little context on each side."""
+    at = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b),
+              min(len(old), len(new)))
+    lo = max(0, at - 40)
+    return (f"offset {at} (lengths {len(old)} and {len(new)})\n"
+            f"  old: {old[lo:at + 40]!r}\n  new: {new[lo:at + 40]!r}")
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="ctxcheck-compare-") as work:
+        try:
+            trees = [package_dir(tree) for tree in args]
+            runs = write_runs(work)
+            runs_path = os.path.join(work, "runs.json")
+            with open(runs_path, "w", encoding="utf-8") as handle:
+                json.dump([argv for _, argv in runs], handle)
+            outs = [os.path.join(work, f"out{i}.jsonl") for i in range(2)]
+            for src, out in zip(trees, outs):
+                run_tree(src, runs_path, out)
+        except TreeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        differing, first = 0, None
+        with open(outs[0], encoding="utf-8") as old_lines, \
+                open(outs[1], encoding="utf-8") as new_lines:
+            for (label, _), old, new in zip(runs, old_lines, new_lines):
+                if old == new:
+                    continue
+                differing += 1
+                if first is None:
+                    old, new = json.loads(old), json.loads(new)
+                    field = next(i for i in range(3) if old[i] != new[i])
+                    name = ("exit code", "stdout", "stderr")[field]
+                    detail = (f"{old[0]!r} != {new[0]!r}" if field == 0 else
+                              first_difference(old[field], new[field]))
+                    first = f"first difference: {label}\n{name}: {detail}"
+    print(f"{len(runs)} runs, {differing} differ")
+    if first is not None:
+        print(first)
+    return int(differing > 0)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
