@@ -18,17 +18,24 @@ constructs that own a context or hand text on: comments, strings and
 ``url()``.  The plain text between them only moves the declaration
 state, since ``:`` starts a value outside one and ``;``, ``{`` and ``}``
 end it; without a token prefix, plain text costs one match for its last
-punctuation, and with one it is split only around the prefix.
+punctuation, and with one it is split only around the prefix.  A
+``url()`` payload is handed to the URI scanner only when it holds the
+token prefix, a ``\\`` or a ``:``: without a backslash CSS unescaping
+changes nothing, and without a colon no ``javascript:`` or ``data:``
+scheme can match, so the URI scanner would only look for the prefix.
 
 Each loop carries the position of the next token prefix, so a token-free
 range costs an integer comparison, not a classification; tag names,
 attribute names, plain attribute values and plain URIs are classified
-only when they hold the prefix.  JavaScript strings and comments are
-terminal, so lexing a script stops after its last token prefix, and the
-code and closed strings and comments before each prefix are consumed by
-one match, a stride, that ends where a table match ends.  HTML, CSS and
-URI text is walked to its end, because entity, percent, CSS-escape and
-base64 decoding can reveal a token that the raw text does not spell.
+only when they hold the prefix.  In a script, the code and closed
+strings and comments before each prefix, and in a style, the plain text
+and closed comments, strings and ``url()`` that hand nothing on, are
+consumed by one match, a stride, that ends where a table match ends;
+ranges too short to pay for it are not strode over.  JavaScript strings
+and comments are terminal, so lexing a script stops after its last
+token prefix.  HTML, CSS and URI text is walked to its end, because
+entity, percent, CSS-escape and base64 decoding can reveal a token that
+the raw text does not spell.
 
 The HTML scanner is deliberately forgiving.  Regions it cannot make
 sense of (tag and attribute names, declarations, unterminated
@@ -152,27 +159,67 @@ _JS_STRIDE = re.compile(
     rf"(?:{_JS_CODE}(?:{'|'.join(_js_constructs(closed=True))}))*")
 # The regex engine keeps backtracking state for every repeat, about 16
 # bytes per character of a typical script (tracemalloc), so one stride
-# covers at most this many characters.
+# covers at most this many characters.  A stride costs a call even when
+# it consumes nothing, and one that fails backtracks over its plain
+# text, so none is tried over a range of at most a 256th of this (64
+# characters): such ranges, short values and scripts above all, lex
+# faster construct by construct.
 _STRIDE_SPAN = 1 << 14
 
-# url( payloads: quoted, or bare up to ")".  Whatever follows a closing
-# quote up to ")" is not part of the URL; css_scan classifies it Unknown.
-_CSS_URL = "".join([
-    rf"(?i:url)\([{_WS}]*(?:",
-    _quoted('"', "url_dq", newline_ends=False), "|",
-    _quoted("'", "url_sq", newline_ends=False), "|",
-    r"(?P<url_bare>[^)]*))[^)]*\)?",
-])
-# The constructs that own a context or hand text on.  The plain text
-# between them only moves the declaration state: ":" starts a value
-# outside one (in selectors and property names), and ";", "{" and "}"
-# end it.
-_CSS = re.compile("|".join([
-    _block_comment("css_comment"),
-    _quoted('"', "css_dq", newline_ends=False),
-    _quoted("'", "css_sq", newline_ends=False),
-    _CSS_URL,
-]))
+
+def _css_url(closed: bool) -> str:
+    """url( and its payload, quoted or bare up to ")".  Whatever follows
+    a closing quote up to ")" is not part of the URL; css_scan
+    classifies it Unknown.  When ``closed``, only a url() that its ")"
+    closes and whose payload holds no "\\" or ":", which css_scan hands
+    to no scanner, and without groups."""
+    if closed:
+        dq, sq = r'"[^"\\:]*"', r"'[^'\\:]*'"
+        bare, close = rf"(?![{_WS}\"'])[^)\\:]*", r"\)"
+    else:
+        dq = _quoted('"', "url_dq", newline_ends=False)
+        sq = _quoted("'", "url_sq", newline_ends=False)
+        bare, close = r"(?P<url_bare>[^)]*)", r"\)?"
+    return rf"(?i:url)\([{_WS}]*(?:{dq}[^)]*|{sq}[^)]*|{bare}){close}"
+
+
+def _css_constructs(closed: bool) -> list[str]:
+    """The CSS constructs that own a context or hand text on; when
+    ``closed``, only those that their own delimiter ends and that hand
+    nothing on, and without groups."""
+    def group(name: str) -> str | None:
+        return None if closed else name
+    return [
+        _block_comment(group("css_comment")),
+        _quoted('"', group("css_dq"), newline_ends=False),
+        _quoted("'", group("css_sq"), newline_ends=False),
+        _css_url(closed),
+    ]
+
+
+def _css_text(punct: bool) -> str:
+    """Plain CSS text, where no construct starts; with ``punct``, it may
+    hold the declaration punctuation ":;{}"."""
+    other = r"[^/\"'uU]" if punct else r"[^/\"'uU:;{}]"
+    return rf"{other}*(?:(?:/(?!\*)|(?!(?i:url)\()[uU]){other}*)*"
+
+
+# The plain text between the constructs only moves the declaration
+# state: ":" starts a value outside one (in selectors and property
+# names), and ";", "{" and "}" end it.
+_CSS = re.compile("|".join(_css_constructs(closed=False)))
+# Plain text and closed, inert constructs, ending after a construct, as
+# _JS_STRIDE does.  Each repeat's "plain" group ends at the last
+# punctuation before its construct; the regex engine keeps the last
+# capture of a repeated group and restores it when a repeat fails, so
+# after a match the group ends at the stride's last punctuation.
+_CSS_STRIDE = re.compile(
+    rf"(?:(?P<plain>{_css_text(punct=True)}[:;{{}}])?{_css_text(punct=False)}"
+    rf"(?:{'|'.join(_css_constructs(closed=True))}))*")
+# A url() payload that could hold a token: css_unescape changes only
+# text with a backslash, and uri_scan looks for more than the prefix
+# only after a scheme's ":".
+_URL_LIVE = re.compile(rf"{TOKEN_PREFIX}|[\\:]")
 # The last punctuation of a plain range, and its last value end.
 _CSS_LAST_PUNCT = re.compile(r".*[:;{}]", re.S)
 _CSS_LAST_VALUE_END = re.compile(r".*[;{}]", re.S)
@@ -254,17 +301,19 @@ class ModelBrowser:
         nothing.  A start tag (a group without a context) is read by
         ``_start_tag``.  With a ``stride``, a pattern that ends only
         where a table match ends, lexing stops once no prefix is left,
-        and each step first strides as far as it can before ``nxt``,
-        up to ``_STRIDE_SPAN`` characters.
+        and each step whose ``nxt`` is far enough ahead first strides as
+        far as it can before it, up to ``_STRIDE_SPAN`` characters.
         """
         pos = 0
         nxt = text.find(TOKEN_PREFIX)
         to_end = stride is None
+        short = _STRIDE_SPAN >> 8
         # The stride sits in the condition, so HTML, which lexes to the
         # end, skips it without a test of its own; its end is never
         # negative, so it only moves pos.
-        while (to_end or nxt >= 0 and (pos := stride.match(
-                    text, pos, min(nxt, pos + _STRIDE_SPAN)).end()) >= 0) and \
+        while (to_end or nxt >= 0 and (nxt - pos <= short or (
+                    pos := stride.match(text, pos, min(nxt, pos + _STRIDE_SPAN))
+                    .end()) >= 0)) and \
                 (match := table.search(text, pos)) is not None:
             start = match.start()
             if 0 <= nxt < start:
@@ -365,18 +414,31 @@ class ModelBrowser:
 
         Tokens in declaration values, strings and comments get their own
         contexts; selector and property-name positions are Unknown.
-        url(...) payloads are unescaped and handed to the URI scanner.
-        ``nxt`` is carried as in ``_lex``.  Plain text between
-        constructs is read by ``_css_plain`` when it holds a prefix;
-        otherwise only its last punctuation, which sets the declaration
-        state, is looked for.
+        A url(...) payload that holds the token prefix, a "\\" or a ":"
+        is unescaped and handed to the URI scanner; any other could
+        reveal no token.  ``nxt`` is carried, and each step strides, as
+        in ``_lex``, but up to the end of the text once no prefix is
+        left, since a url() payload may still need handing on; the
+        stride's last punctuation sets the declaration state.  Plain
+        text between constructs is read by ``_css_plain`` when it holds
+        a prefix; otherwise only its last punctuation is looked for.
         """
         self.scan_count += 1
         prefix = tuple(prefix)
         pos = 0
         nxt = text.find(TOKEN_PREFIX)
         in_value = False
-        for match in _CSS.finditer(text):
+        short = _STRIDE_SPAN >> 8
+        while True:
+            stop = nxt if nxt >= 0 else len(text)
+            if stop - pos > short:
+                stride = _CSS_STRIDE.match(text, pos,
+                                           min(stop, pos + _STRIDE_SPAN))
+                if (last := stride.end("plain")) > 0:
+                    in_value = text[last - 1] == ":"
+                pos = stride.end()
+            if (match := _CSS.search(text, pos)) is None:
+                break
             start = match.start()
             if 0 <= nxt < start:
                 in_value, nxt = self._css_plain(text, pos, start, nxt,
@@ -389,10 +451,11 @@ class ModelBrowser:
             lo, hi = match.span(group)
             ctx = _CONTEXT.get(group)
             if ctx is None:
-                payload = match[group]
-                if group == "url_bare":
-                    payload = payload.strip()
-                self.uri_scan(css_unescape(payload), prefix)
+                if _URL_LIVE.search(text, lo, hi):
+                    payload = match[group]
+                    if group == "url_bare":
+                        payload = payload.strip()
+                    self.uri_scan(css_unescape(payload), prefix)
                 # The text between a closing quote and ")"; a bare
                 # payload runs up to ")", so its tail is empty.
                 ctx = BrowserContext.Unknown

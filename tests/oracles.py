@@ -7,8 +7,11 @@ render oracle expands every node on its own, as render did before it
 shared the value of a repeated expansion.  The strip oracle is the
 original one-replace-per-token annotation strip, and the browser oracle
 the original hand-written scanners, changed only where the model was
-deliberately fixed: the text between a quoted url() payload's closing
-quote and ")" is classified Unknown.
+deliberately changed: the text between a quoted url() payload's closing
+quote and ")" is classified Unknown, and a url() payload goes to the URI
+scanner only when it holds the token prefix, a "\\" or a ":", since
+without them unescaping and URI scanning can find nothing (this changes
+scan_count, which the tests compare exactly).
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import itertools
 import random
 import re
 
-from ctxcheck.annotations import (TOKEN_RE, SinkRegistry, UnknownResidue,
-                                  emit_to_sink)
+from ctxcheck.annotations import (TOKEN_PREFIX, TOKEN_RE, SinkRegistry,
+                                  UnknownResidue, emit_to_sink)
 from ctxcheck.contexts import BrowserContext, ContextSequence, Finding
 from ctxcheck.decoders import css_unescape, entity_decode, percent_decode
 from ctxcheck.sanitizers import html_escape
@@ -490,7 +493,8 @@ class ReferenceBrowser:
             close = text.find(")", j)
             payload = text[j:n if close == -1 else close].strip()
             tail = ""
-        self.uri_scan(css_unescape(payload), prefix)
+        if TOKEN_PREFIX in payload or "\\" in payload or ":" in payload:
+            self.uri_scan(css_unescape(payload), prefix)
         # Text between the closing quote and ")" is not part of the URL.
         self._classify(tail, prefix, BrowserContext.Unknown)
         return n if close == -1 else close + 1

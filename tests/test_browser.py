@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import base64
 import random
 from unittest import mock
 
@@ -157,12 +158,26 @@ def test_tokens_revealed_only_by_decoding_are_found():
     # must walk all of it, not only the ranges holding the token prefix.
     registry, token = _registry_with_token()
     rest = token[1:]
-    for document, expected in [
+    cases = [
         (f'<a title="&#x78;{rest}">', (C.HtmlAttrDq,)),
         (f'<a href="javascript:f(%27%78{rest}%27)">',
          (C.HtmlAttrDq, C.Uri, C.JsStringSq)),
         (f'<b style="background:url(\\78 {rest})">', (C.HtmlAttrDq, C.Uri)),
-    ]:
+    ]
+    # A url() payload is handed on only when it holds the prefix, a
+    # backslash or a ":"; after a long enough rule, a stride runs up to
+    # the url() and must not consume it.
+    encoded = base64.b64encode(f"<i>{token}</i>".encode()).decode()
+    for rule in ("", "p { margin: 0 } " * 6):
+        cases += [
+            (f"<style>{rule}a{{background:url(javascript:%27%78{rest}%27)}}"
+             "</style>", (C.HtmlStyleData, C.Uri, C.JsStringSq)),
+            (f"<style>{rule}a{{background:url('data:text/html;base64,"
+             f"{encoded}')}}</style>", (C.HtmlStyleData, C.Uri, C.HtmlText)),
+            (f'<style>{rule}a{{background:url("\\78 {rest}")}}</style>',
+             (C.HtmlStyleData, C.Uri)),
+        ]
+    for document, expected in cases:
         assert "xtnt" not in document
         findings = analyze(document, registry)
         assert [f.context for f in findings] == [expected], document
@@ -330,7 +345,11 @@ FRAGMENTS = (
     ")", ":", ";", "{", "}",
     # closed constructs, a ":" inside a value, a division, a whole url()
     "'s'", '"s"', "`t`", "/*c*/", "//c\n", "'\\''", "a:b", "1/2", "url(x)",
-    "x;",
+    "x;", "'s''t'",
+    # url() payloads handed on and not, in any case, and one whose
+    # quote never closes; a lone "u"
+    "url(a:b)", "url(\\3a b)", 'url("a:b")', "URL(x)", "uRl( 'y' )",
+    'url("a" b)', "url( 'y)", "u",
     # schemes, encodings, whitespace
     "javascript:", "data:text/html,", "data:text/html;base64,", "aGk=",
     "&quot;", "&#39;", "%27", "%22", "\n", "\t", " ", "a",
@@ -345,12 +364,15 @@ FRAGMENTS = (
 
 @settings(max_examples=600, deadline=None)
 @given(st.lists(st.sampled_from(FRAGMENTS), min_size=20, max_size=60), st.booleans(),
-       st.integers(min_value=1, max_value=64))
+       st.one_of(st.integers(min_value=1, max_value=64),
+                 st.integers(min_value=256, max_value=4096)))
 def test_scanners_match_the_reference_browser(pieces, script_src, span):
     """Each scan entry point gives the findings and scan count of
     ReferenceBrowser, the hand-written scanners the lexer tables replaced.
-    A JavaScript stride may stop after any closed construct, so capping
-    it at any number of characters changes nothing.
+    A JavaScript or CSS stride may stop after any closed construct, so
+    capping it at any number of characters changes nothing.  No stride
+    runs over a range of at most a 256th of the cap, so a cap below 256
+    strides over every range, and a larger one skips the short ones.
 
     A ROADMAP item 3 fix that changes behaviour on purpose updates the
     reference with it.
@@ -402,6 +424,11 @@ _AT_SCALE = {
     "slashes": lambda rng: ["/"] * 40000,
     "colon-semicolon": lambda rng: [":;"] * 20000,
     "unclosed-urls": lambda rng: ["url("] * 20000,
+    "adjacent-strings": lambda rng: ["'a'"] * 20000,
+    "inert-urls": lambda rng: ["url(x)"] * 20000,
+    "colon-urls": lambda rng: ["url(a:b)"] * 20000,
+    "letter-u": lambda rng: ["u"] * 40000,
+    "colons": lambda rng: [":"] * 40000,
     "backslash-pairs": lambda rng: ["'"] + ["\\\\"] * 20000,
     "unclosed-template": lambda rng: ["`"] + ["a "] * 20000,
     "css-rules": lambda rng: _pieces(rng, _CSS_RULES, 5000),
@@ -414,8 +441,8 @@ def test_scanners_match_the_reference_browser_at_scale(name):
     """Fifty tokens spread through long and hostile script and style
     text: js_scan and css_scan give the findings and scan count of
     ReferenceBrowser.  Each input repeats one construct that a stride
-    or a CSS plain range must step over, or leaves one open to the end
-    of the text."""
+    or a CSS plain range must step over or stop at, or leaves one open
+    to the end of the text."""
     rng = random.Random(name)
     registry = SinkRegistry(seed=5)
     tokens = [registry.register(frozenset({("o", ())}), f"s{i}")
