@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .taint import TaintRecord
 
@@ -30,8 +30,7 @@ class RegistrationError(ValueError):
     """A registry entry violates the registry invariants."""
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(NamedTuple):
     taint: TaintRecord
     sink: SinkId
 

@@ -28,14 +28,19 @@ Each loop carries the position of the next token prefix, so a token-free
 range costs an integer comparison, not a classification; tag names,
 attribute names, plain attribute values and plain URIs are classified
 only when they hold the prefix.  In a script, the code and closed
-strings and comments before each prefix, and in a style, the plain text
-and closed comments, strings and ``url()`` that hand nothing on, are
-consumed by one match, a stride, that ends where a table match ends;
-ranges too short to pay for it are not strode over.  JavaScript strings
-and comments are terminal, so lexing a script stops after its last
-token prefix.  HTML, CSS and URI text is walked to its end, because
-entity, percent, CSS-escape and base64 decoding can reveal a token that
-the raw text does not spell.
+strings and comments before each prefix; in a style, the plain text and
+closed comments, strings and ``url()`` that hand nothing on; and in
+markup, the text, closed comments, declarations and end tags, stray
+"<" and the start tags that open no raw text and whose attribute values
+hand nothing on (``_inert_value``), are consumed by one match, a stride,
+that ends where a table match ends.  Ranges too short to pay for a
+stride are not strode over, and after a stride that a live construct
+stopped early the next waits (``_next_stride``).  ``_start_tag`` hands
+an attribute value that hands nothing on to no scanner either.
+JavaScript strings and comments are terminal, so lexing a script stops
+after its last token prefix.  HTML, CSS and URI text is walked to its
+end, because entity, percent, CSS-escape and base64 decoding can reveal
+a token that the raw text does not spell.
 
 The HTML scanner is deliberately forgiving.  Regions it cannot make
 sense of (tag and attribute names, declarations, unterminated
@@ -123,8 +128,10 @@ def _js_constructs(closed: bool) -> list[str]:
 
 
 _TAG_NAME = "[a-zA-Z][a-zA-Z0-9:_-]*"
+# A comment body runs up to the first "-->".
+_COMMENT_BODY = r"[^-]*(?:-(?!->)[^-]*)*"
 _HTML = re.compile("|".join([
-    r"<!--(?P<html_comment>[^-]*(?:-(?!->)[^-]*)*)(?:-->)?",
+    rf"<!--(?P<html_comment>{_COMMENT_BODY})(?:-->)?",
     r"(?P<declaration><[!?][^>]*)>?",
     r"</(?P<end_tag>[^>]*)>",
     r"(?P<unclosed_end_tag></[\s\S]*)",
@@ -158,8 +165,8 @@ _JS_CODE = r"[^'\"`/]*(?:/(?![/*])[^'\"`/]*)*"
 _JS_STRIDE = re.compile(
     rf"(?:{_JS_CODE}(?:{'|'.join(_js_constructs(closed=True))}))*")
 # The regex engine keeps backtracking state for every repeat, about 16
-# bytes per character of a typical script (tracemalloc), so one stride
-# covers at most this many characters.  A stride costs a call even when
+# bytes per character of a typical script (tracemalloc), so one stride,
+# in any language, covers at most this many characters.  A stride costs a call even when
 # it consumes nothing, and one that fails backtracks over its plain
 # text, so none is tried over a range of at most a 256th of this (64
 # characters): such ranges, short values and scripts above all, lex
@@ -167,20 +174,43 @@ _JS_STRIDE = re.compile(
 _STRIDE_SPAN = 1 << 14
 
 
-def _css_url(closed: bool) -> str:
+def _next_stride(began: int, end: int, gap: int) -> tuple[int, int]:
+    """Where the next stride may start after one from ``began`` to
+    ``end``, and the gap to wait should that one stop as early.
+
+    A stride that covered no more than a range too short to stride over
+    (a 256th of ``_STRIDE_SPAN``) was stopped by a live construct, and
+    the next would most likely be stopped as soon: the loop walks on for
+    ``gap`` characters before it strides again, and each such stride
+    doubles the gap, up to ``_STRIDE_SPAN``.  A longer stride resets it.
+    """
+    short = _STRIDE_SPAN >> 8
+    if end - began > short:
+        return end, short + 1
+    return end + gap, min(2 * gap, _STRIDE_SPAN)
+
+
+def _css_url(closed: bool, exclude: str = "") -> str:
     """url( and its payload, quoted or bare up to ")".  Whatever follows
     a closing quote up to ")" is not part of the URL; css_scan
     classifies it Unknown.  When ``closed``, only a url() that its ")"
     closes and whose payload holds no "\\" or ":", which css_scan hands
-    to no scanner, and without groups."""
+    to no scanner, and without groups; no character of ``exclude``
+    occurs from "url(" to ")", a quote in it drops the payload that it
+    would delimit, and a space in it drops the whitespace after "url(".
+    """
+    ws = rf"[{_WS}]*"
     if closed:
-        dq, sq = r'"[^"\\:]*"', r"'[^'\\:]*'"
-        bare, close = rf"(?![{_WS}\"'])[^)\\:]*", r"\)"
+        no = r"\\:" + exclude
+        quoted = [rf"{q}[^{q}{no}]*{q}[^){exclude}]*"
+                  for q in "\"'" if q not in exclude]
+        bare, close = rf"(?![{_WS}\"'])[^){no}]*", r"\)"
+        ws = "" if " " in exclude else ws
     else:
-        dq = _quoted('"', "url_dq", newline_ends=False)
-        sq = _quoted("'", "url_sq", newline_ends=False)
+        quoted = [_quoted(q, group, newline_ends=False) + "[^)]*"
+                  for q, group in (('"', "url_dq"), ("'", "url_sq"))]
         bare, close = r"(?P<url_bare>[^)]*)", r"\)?"
-    return rf"(?i:url)\([{_WS}]*(?:{dq}[^)]*|{sq}[^)]*|{bare}){close}"
+    return rf"(?i:url)\({ws}(?:{'|'.join([*quoted, bare])}){close}"
 
 
 def _css_constructs(closed: bool) -> list[str]:
@@ -227,6 +257,86 @@ _CSS_LAST_VALUE_END = re.compile(r".*[;{}]", re.S)
 _CSS_RANGE_END = (re.compile(r"[:;{}]"), re.compile(r"[;{}]"))
 # css_scan's default context outside a declaration value and inside one.
 _CSS_DEFAULT = (BrowserContext.Unknown, BrowserContext.CssDeclValue)
+
+
+# The characters that end a run of ordinary attribute value characters,
+# besides "&": a URI's ":", and a style's "u" that may start url(.
+_VALUE_BANNED = {"js": "", "uri": ":", "css": "uU"}
+
+
+def _inert_value(kind: str, end: str) -> str:
+    """An attribute value that hands nothing on; ``end`` holds the
+    characters that end the value, and ``kind`` is "css" for style,
+    "uri" for a URI-valued name and "js" for any other: an event
+    handler's value needs only the entity rule, as does one that no
+    scanner reads.
+
+    Entity decoding may only turn ``&amp;``, ``&lt;``, ``&gt;`` and
+    ``&quot;`` into "&<>\"", and it leaves an "&" that neither "#" nor
+    a letter follows as it is, so the decoded value spells no token the
+    raw one does not.  A URI without ":" has no javascript: or data:
+    scheme.  In a style, each url( is closed by ")", with no "&" or "("
+    in between (so no other url( starts inside it), and its payload,
+    bare or quoted, holds no "\\" or ":": css_scan reads each the same
+    way in the raw and the decoded value, and hands none of them on,
+    whatever CSS string or comment it lies in.
+    """
+    # Runs of ordinary characters are one repeat each, which the regex
+    # engine walks far faster than a repeated alternation.
+    run = rf"[^&{_VALUE_BANNED[kind]}{end}]*"
+    special = [r"&(?:amp|lt|gt|quot);", r"&(?![#a-zA-Z])"]
+    if kind == "css":
+        special += [r"(?!(?i:url)\()[uU]", _css_url(True, "&(" + end)]
+    return rf"{run}(?:(?:{'|'.join(special)}){run})*"
+
+
+# _start_tag's test of a token-free value that hands nothing on, by
+# kind; it reads the value _ATTR_RE gave, so no delimiter occurs in it.
+_INERT_VALUE = {kind: re.compile(_inert_value(kind, ""))
+                for kind in _VALUE_BANNED}
+# The kind of each lower-cased attribute name other than "js".
+_VALUE_KIND = {"style": "css", **dict.fromkeys(URI_ATTRIBUTES, "uri")}
+
+_NAME_END = rf"(?=[{_WS}/=>])"
+_URI_NAMES = "|".join(sorted(URI_ATTRIBUTES))
+
+
+def _inert_attribute(name: str, kind: str) -> str:
+    """An attribute read as _ATTR_RE reads it, with no value or one that
+    hands nothing on.  Python 3.10 has no possessive quantifier, so each
+    name, run of whitespace and unquoted value ends where no longer match
+    could, and the pattern cannot re-split a live attribute into inert
+    ones when a later part fails."""
+    values = [rf'"{_inert_value(kind, chr(34))}"',
+              rf"'{_inert_value(kind, chr(39))}'",
+              rf"(?![\"'{_WS}]){_inert_value(kind, _WS + '>')}(?=[{_WS}>])"]
+    # A whitespace run given back would leave whitespace next, which
+    # neither a value nor the end of a valueless attribute may start at.
+    return (rf"{name}{_NAME_END}[{_WS}]*"
+            rf"(?:=[{_WS}]*(?:{'|'.join(values)})|(?![{_WS}=]))")
+
+
+# A start tag that opens no raw text and whose attributes hand nothing
+# on, after its "<".  Every name that str.lower() makes "style" or a URI
+# name matches its own branch case-insensitively, as do a few more
+# (U+017F for "s"), which only get the stricter rule.  The tag name is
+# not given back either, which spares a failing stride from reading the
+# tag again with each shorter one.
+_INERT_TAG = (
+    rf"(?!(?i:script|style)(?![a-zA-Z0-9:_-])){_TAG_NAME}(?![a-zA-Z0-9:_-])"
+    rf"(?:[{_WS}/=]*(?:"
+    + _inert_attribute(rf"(?!(?i:style|{_URI_NAMES}){_NAME_END})[^{_WS}/=>]+",
+                       "js")
+    + "|" + _inert_attribute("(?i:style)", "css")
+    + "|" + _inert_attribute(rf"(?i:{_URI_NAMES})", "uri")
+    + rf"))*[{_WS}/=]*>")
+# Text and closed constructs that hand nothing on, ending after a
+# construct, where an _HTML match ends: comments, declarations (never
+# "<!--"), end tags, inert start tags, and a "<" that the next
+# character makes a stray one.
+_HTML_STRIDE = re.compile(
+    rf"(?:[^<]*<(?:{_INERT_TAG}|/[^>]*>|!--{_COMMENT_BODY}-->"
+    r"|(?!!--)[!?][^>]*>|(?=[^!?/a-zA-Z])))*")
 
 _CONTEXT = {
     "html_comment": BrowserContext.HtmlComment,
@@ -291,61 +401,81 @@ class ModelBrowser:
             self.findings.append(Finding(token, prefix + (ctx,), excerpt))
 
     def _lex(self, text: str, prefix: ContextSequence, table: re.Pattern,
-             default: BrowserContext, stride: re.Pattern | None = None) -> None:
+             default: BrowserContext, stride: re.Pattern,
+             to_end: bool = False) -> None:
         """Classify ``text`` with a lexer table.
 
         Text between matches gets ``default`` and each match's group
         text the group's context.  ``nxt``, the first token prefix at or
-        after ``pos`` (-1 if none), guards each range; a prefix that
-        straddles a range's end costs a classification that finds
-        nothing.  A start tag (a group without a context) is read by
-        ``_start_tag``.  With a ``stride``, a pattern that ends only
-        where a table match ends, lexing stops once no prefix is left,
-        and each step whose ``nxt`` is far enough ahead first strides as
-        far as it can before it, up to ``_STRIDE_SPAN`` characters.
+        after ``pos`` (the end of the text if none), guards each range;
+        a prefix that straddles a range's end costs a classification
+        that finds nothing.  A start tag (a group without a context) is
+        read by ``_start_tag``.  Lexing stops once no prefix is left,
+        unless ``to_end``.  Each step whose ``nxt`` (or end) is far
+        enough ahead, and that ``_next_stride`` lets stride, first
+        strides as far as it can before it, up to ``_STRIDE_SPAN``
+        characters, with ``stride``, a pattern that ends only where a
+        table match ends.
         """
         pos = 0
-        nxt = text.find(TOKEN_PREFIX)
-        to_end = stride is None
+        end = len(text)
+        if (nxt := text.find(TOKEN_PREFIX)) < 0:
+            nxt = end
         short = _STRIDE_SPAN >> 8
-        # The stride sits in the condition, so HTML, which lexes to the
-        # end, skips it without a test of its own; its end is never
-        # negative, so it only moves pos.
-        while (to_end or nxt >= 0 and (nxt - pos <= short or (
-                    pos := stride.match(text, pos, min(nxt, pos + _STRIDE_SPAN))
-                    .end()) >= 0)) and \
-                (match := table.search(text, pos)) is not None:
+        retry, gap = 0, short + 1
+        while to_end or nxt < end:
+            if nxt - pos > short and pos >= retry:
+                began = pos
+                pos = stride.match(text, pos, min(nxt, pos + _STRIDE_SPAN)).end()
+                retry, gap = _next_stride(began, pos, gap)
+            if (match := table.search(text, pos)) is None:
+                break
             start = match.start()
-            if 0 <= nxt < start:
+            if nxt < start:
                 self._classify(text, pos, start, prefix, default)
-                nxt = text.find(TOKEN_PREFIX, start)
+                if (nxt := text.find(TOKEN_PREFIX, start)) < 0:
+                    nxt = end
             group = match.lastgroup
             ctx = _CONTEXT.get(group)
             if ctx is None:
                 pos = self._start_tag(text, match, prefix)
             else:
                 lo, hi = match.span(group)
-                if 0 <= nxt < hi:
+                if nxt < hi:
                     self._classify(text, lo, hi, prefix, ctx)
                 pos = match.end()
-            if 0 <= nxt < pos:
-                nxt = text.find(TOKEN_PREFIX, pos)
-        if nxt >= 0:
-            self._classify(text, pos, len(text), prefix, default)
+            if nxt < pos and (nxt := text.find(TOKEN_PREFIX, pos)) < 0:
+                nxt = end
+        if nxt < end:
+            self._classify(text, pos, end, prefix, default)
 
     # -- HTML -------------------------------------------------------------
 
     def html_scan(self, text: str, prefix: ContextSequence = ()) -> None:
+        """Lex a document to its end, striding over token-free markup.
+
+        Entity decoding can reveal a token in an attribute value, so
+        every start tag with an attribute that could hand a value on is
+        read by ``_start_tag``; where a stride runs, it consumes the
+        others.
+        """
         self.scan_count += 1
         prefix = tuple(prefix)
         if len(prefix) >= MAX_NESTING:
             self._classify(text, 0, len(text), prefix, BrowserContext.Unknown)
             return
-        self._lex(text, prefix, _HTML, BrowserContext.HtmlText)
+        self._lex(text, prefix, _HTML, BrowserContext.HtmlText, _HTML_STRIDE,
+                  to_end=True)
 
     def _start_tag(self, text: str, tag_match: re.Match,
                    prefix: ContextSequence) -> int:
-        """Read attributes and raw text; return where lexing resumes."""
+        """Read attributes and raw text; return where lexing resumes.
+
+        A value is decoded and handed to a scanner or classified unless
+        ``_INERT_VALUE`` shows that it hands nothing on, the test
+        _HTML_STRIDE makes, so ``scan_count`` does not depend on which
+        of them reads a tag.
+        """
         tag = tag_match["start_tag"]
         if TOKEN_PREFIX in tag:
             self._classify(text, *tag_match.span("start_tag"), prefix,
@@ -363,9 +493,18 @@ class ModelBrowser:
             if ctx is None:  # no value
                 continue
             value = attr[attr.lastgroup]
+            name = name.lower()
+            if TOKEN_PREFIX not in value:
+                # String tests settle the common cases first: a URI with
+                # ":" hands it on, and a value without "&" needs no
+                # entity rule.
+                kind = _VALUE_KIND.get(name, "js")
+                if (kind != "uri" or ":" not in value) and (
+                        "&" not in value and kind != "css"
+                        or _INERT_VALUE[kind].fullmatch(value)):
+                    continue
             if "&" in value:
                 value = entity_decode(value)
-            name = name.lower()
             if name.startswith("on"):
                 self.js_scan(value, prefix + (ctx,))
             elif name == "style":
@@ -401,11 +540,13 @@ class ModelBrowser:
         """Lex far enough to tell code, strings and comments apart.
 
         Nothing in a script is decoded or handed on, so lexing stops
-        once it has passed the last token prefix, and the code and
-        closed constructs before each prefix are one stride.
+        once it has passed the last token prefix (a script without one
+        is not lexed at all), and the code and closed constructs before
+        each prefix are one stride.
         """
         self.scan_count += 1
-        self._lex(text, tuple(prefix), _JS, BrowserContext.JsCode, _JS_STRIDE)
+        if TOKEN_PREFIX in text:
+            self._lex(text, tuple(prefix), _JS, BrowserContext.JsCode, _JS_STRIDE)
 
     # -- CSS ----------------------------------------------------------------
 
@@ -417,8 +558,8 @@ class ModelBrowser:
         A url(...) payload that holds the token prefix, a "\\" or a ":"
         is unescaped and handed to the URI scanner; any other could
         reveal no token.  ``nxt`` is carried, and each step strides, as
-        in ``_lex``, but up to the end of the text once no prefix is
-        left, since a url() payload may still need handing on; the
+        in ``_lex`` (also up to the end of the text once no prefix is
+        left, since a url() payload may still need handing on); the
         stride's last punctuation sets the declaration state.  Plain
         text between constructs is read by ``_css_plain`` when it holds
         a prefix; otherwise only its last punctuation is looked for.
@@ -429,13 +570,15 @@ class ModelBrowser:
         nxt = text.find(TOKEN_PREFIX)
         in_value = False
         short = _STRIDE_SPAN >> 8
+        retry, gap = 0, short + 1
         while True:
             stop = nxt if nxt >= 0 else len(text)
-            if stop - pos > short:
+            if stop - pos > short and pos >= retry:
                 stride = _CSS_STRIDE.match(text, pos,
                                            min(stop, pos + _STRIDE_SPAN))
                 if (last := stride.end("plain")) > 0:
                     in_value = text[last - 1] == ":"
+                retry, gap = _next_stride(pos, stride.end(), gap)
                 pos = stride.end()
             if (match := _CSS.search(text, pos)) is None:
                 break

@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 when no insufficient sanitization was found, 1 when at
 least one was, 2 on operational errors (unparseable input, unknown
-sanitizers, tokens missing from the document or nested inside another).
+sanitizers, tokens missing from the document or nested inside another,
+output that has no UTF-8 form).
 """
 
 from __future__ import annotations
@@ -160,8 +161,11 @@ def _analyze_bundle(bundle: Bundle, args) -> int:
     summary = aggregate(verdicts)
     clean = strip_annotations(bundle.document, bundle.registry)
     if args.clean_out:
-        with open(args.clean_out, "w", encoding="utf-8") as handle:
-            handle.write(clean)
+        # JSON input can hold a lone surrogate, which has no UTF-8 form;
+        # encoding first raises before the file is touched.
+        data = clean.encode("utf-8")
+        with open(args.clean_out, "wb") as handle:
+            handle.write(data)
     if args.format == "json":
         # Without indent, json uses its C encoder: one line, same value.
         # The report is a fresh tree with no cycle to look for.
@@ -268,6 +272,12 @@ def main(argv=None) -> int:
         return 2
     except UnicodeDecodeError as exc:
         print(f"error: input is not UTF-8: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeEncodeError as exc:
+        # A lone surrogate from JSON input in a text report or a clean
+        # document; the JSON report escapes it.
+        print(f"error: output cannot be written as UTF-8: {exc}",
+              file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

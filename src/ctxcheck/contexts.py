@@ -9,7 +9,7 @@ script element resolves to (HtmlScriptData, JsStringDq).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class BrowserContext(enum.Enum):
@@ -57,8 +57,7 @@ def format_sequence(sequence: ContextSequence) -> str:
     return "(" + ", ".join(sequence_names(sequence)) + ")"
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """One located annotation token and its resolved context sequence."""
 
     token: str

@@ -8,10 +8,12 @@ shared the value of a repeated expansion.  The strip oracle is the
 original one-replace-per-token annotation strip, and the browser oracle
 the original hand-written scanners, changed only where the model was
 deliberately changed: the text between a quoted url() payload's closing
-quote and ")" is classified Unknown, and a url() payload goes to the URI
+quote and ")" is classified Unknown; a url() payload goes to the URI
 scanner only when it holds the token prefix, a "\\" or a ":", since
-without them unescaping and URI scanning can find nothing (this changes
-scan_count, which the tests compare exactly).
+without them unescaping and URI scanning can find nothing; and an
+attribute value goes to no scanner when _hands_nothing_on shows that
+decoding and scanning it could reveal no token.  The last two change
+scan_count, which the tests compare exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import base64
 import itertools
 import random
 import re
+import string
 
 from ctxcheck.annotations import (TOKEN_PREFIX, TOKEN_RE, SinkRegistry,
                                   UnknownResidue, emit_to_sink)
@@ -175,6 +178,51 @@ def _token_set(registry) -> frozenset:
     return frozenset(registry.tokens())
 
 
+_KEPT_ENTITIES = ("&amp;", "&lt;", "&gt;", "&quot;")
+
+
+def _hands_nothing_on(name: str, value: str) -> bool:
+    """Whether an attribute value, entity-decoded and handed to the
+    scanner its lower-cased name picks, could reveal no token: it holds
+    no token prefix; each "&" starts one of _KEPT_ENTITIES or is
+    followed by neither "#" nor an ASCII letter; a URI-valued one holds
+    no ":"; and in a style, each "url(" of any case is closed by ")",
+    with no "&" or "(" in between, and its payload, bare or quoted,
+    holds no "\\" or ":"."""
+    if TOKEN_PREFIX in value:
+        return False
+    for at, char in enumerate(value):
+        after = value[at + 1:at + 2]
+        if char == "&" and not value.startswith(_KEPT_ENTITIES, at) and \
+                after and (after == "#" or after in string.ascii_letters):
+            return False
+    if name in URI_ATTRIBUTES:
+        return ":" not in value
+    if name != "style":
+        return True
+    for at in range(len(value)):
+        if value[at:at + 4].lower() != "url(":
+            continue
+        start = at + 4
+        while start < len(value) and value[start] in _WS:
+            start += 1
+        quote = value[start:start + 1]
+        if quote in ("\"", "'"):
+            payload_end = value.find(quote, start + 1)
+            if payload_end < 0:
+                return False
+            close = value.find(")", payload_end + 1)
+            payload = value[start + 1:payload_end]
+            tail = value[payload_end + 1:close]
+        else:
+            close = value.find(")", start)
+            payload, tail = value[start:close], ""
+        if close < 0 or any(c in payload for c in "\\:&(") or \
+                any(c in tail for c in "&("):
+            return False
+    return True
+
+
 class ReferenceBrowser:
     """One analysis pass over one document.
 
@@ -322,8 +370,10 @@ class ReferenceBrowser:
             ctx = BrowserContext.HtmlAttrSq
         else:
             ctx = BrowserContext.HtmlAttrUnq
-        decoded = entity_decode(value)
         lname = name.lower()
+        if _hands_nothing_on(lname, value):
+            return
+        decoded = entity_decode(value)
         if lname.startswith("on"):
             self.js_scan(decoded, prefix + (ctx,))
         elif lname == "style":

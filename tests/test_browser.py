@@ -158,12 +158,38 @@ def test_tokens_revealed_only_by_decoding_are_found():
     # must walk all of it, not only the ranges holding the token prefix.
     registry, token = _registry_with_token()
     rest = token[1:]
-    cases = [
+    js = (C.Uri, C.JsStringSq)
+    markup = [
         (f'<a title="&#x78;{rest}">', (C.HtmlAttrDq,)),
-        (f'<a href="javascript:f(%27%78{rest}%27)">',
-         (C.HtmlAttrDq, C.Uri, C.JsStringSq)),
+        (f"<a title=&#120;{rest}>", (C.HtmlAttrUnq,)),
+        # read as a valueless attribute and one named by the quoted
+        # value, the value would hand nothing on
+        (f'<a title = "&#x78;{rest}">', (C.HtmlAttrDq,)),
+        (f"<a title =\t&#x78;{rest}>", (C.HtmlAttrUnq,)),
+        (f"<a onclick='f(\"&#x78;{rest}\")'>", (C.HtmlAttrSq, C.JsStringDq)),
+        (f'<a href="javascript:f(%27%78{rest}%27)">', (C.HtmlAttrDq, *js)),
+        (f'<a href="javascript&colon;f(%27%78{rest}%27)">', (C.HtmlAttrDq, *js)),
+        (f'<a HREF="javascript&#58;f(%27%78{rest}%27)">', (C.HtmlAttrDq, *js)),
+        (f"<object data=javascript:f(%27%78{rest}%27)>", (C.HtmlAttrUnq, *js)),
+        # str.lower() turns the Kelvin sign into "k"
+        (f'<a bac\u212aground="javascript:f(%27%78{rest}%27)">',
+         (C.HtmlAttrDq, *js)),
         (f'<b style="background:url(\\78 {rest})">', (C.HtmlAttrDq, C.Uri)),
+        (f'<b style="background:URL(\\78 {rest})">', (C.HtmlAttrDq, C.Uri)),
+        (f'<b style="background:u&#114;l(\\78 {rest})">', (C.HtmlAttrDq, C.Uri)),
+        # decoded, &quot; opens a url() payload that runs past the ")"
+        # the raw value closes it with
+        (f'<b style="background:url(&quot;)\\78 {rest}&quot;)">',
+         (C.HtmlAttrDq, C.Uri)),
+        # a url() that css_scan reads starts inside another's payload
+        (f"<b style='\"url(\" url(\"a)\\78 {rest}\")'>", (C.HtmlAttrSq, C.Uri)),
     ]
+    # Each tag, alone or behind and before enough inert markup for the
+    # HTML stride to run, must stop it.
+    padding = '<div class="c" data-x=1>&amp; x</div><br/>' * 4
+    cases = [(before + document + after, expected)
+             for document, expected in markup
+             for before, after in (("", ""), (padding, padding))]
     # A url() payload is handed on only when it holds the prefix, a
     # backslash or a ":"; after a long enough rule, a stride runs up to
     # the url() and must not consume it.
@@ -350,6 +376,14 @@ FRAGMENTS = (
     # quote never closes; a lone "u"
     "url(a:b)", "url(\\3a b)", 'url("a:b")', "URL(x)", "uRl( 'y' )",
     'url("a" b)', "url( 'y)", "u",
+    # attributes the HTML stride must tell apart: entities that decode
+    # to "&" or ":", names of any case that pick a scanner or none, an
+    # unquoted value, style url()s that hand nothing on, a tag that
+    # only starts like a raw text one, and a value whose quote never
+    # closes
+    "&amp;", "&colon;", "&#x3a;", "ONCLICK=", "HREF=", "Src=", "data=",
+    "data-x=", " x=y", 'style="a:url(/b)"', "style='u:url(\"a\")'",
+    "<scripts>", ' x="v',
     # schemes, encodings, whitespace
     "javascript:", "data:text/html,", "data:text/html;base64,", "aGk=",
     "&quot;", "&#39;", "%27", "%22", "\n", "\t", " ", "a",
@@ -369,10 +403,11 @@ FRAGMENTS = (
 def test_scanners_match_the_reference_browser(pieces, script_src, span):
     """Each scan entry point gives the findings and scan count of
     ReferenceBrowser, the hand-written scanners the lexer tables replaced.
-    A JavaScript or CSS stride may stop after any closed construct, so
-    capping it at any number of characters changes nothing.  No stride
-    runs over a range of at most a 256th of the cap, so a cap below 256
-    strides over every range, and a larger one skips the short ones.
+    A JavaScript, CSS or HTML stride may stop after any closed construct,
+    so capping it at any number of characters changes nothing.  No
+    stride runs over a range of at most a 256th of the cap, so a cap
+    below 256 strides over every range, and a larger one skips the
+    short ones.
 
     A ROADMAP item 3 fix that changes behaviour on purpose updates the
     reference with it.
@@ -411,6 +446,25 @@ _CSS_RULES = (
 )
 
 
+# Markup like that of the benchmark's bundle-stream pages: tags whose
+# attributes hand nothing on, and some whose attributes do.
+_MARKUP = (
+    '<div class="card c$N" id="item-$N" data-rank="$N">\n',
+    '<a href="/item/$N?ref=list&amp;page=$N" title="Item $N &amp; more">'
+    "Item $N</a>\n",
+    '<img src=/img/$N.png alt="Picture $N" width=64 HEIGHT=\'64\'>\n',
+    '<span style="color:#$N;margin:$Npx">Tag &lt;$N&gt;</span>\n',
+    '<button type="button" onclick="toggle($N); return false;">More'
+    "</button>\n",
+    '<a href="javascript:void(0)" onclick="open($N)">Open</a>\n',
+    '<div style="background:url(/bg/$N.png) no-repeat">x</div>\n',
+    "<p>Lorem ipsum $N &mdash; dolor &#39;sit&#39; amet, $N% off.</p>\n",
+    "<!-- row $N --><!DOCTYPE x><?pi $N?>\n",
+    "<ul><li>One</li><li>Two &amp; three</li></ul> 1 < 2\n",
+    '<b title="&#$N;" style=\'x:url("/$N")\'>b</b></div>\n',
+)
+
+
 def _pieces(rng, pool, count):
     return [rng.choice(pool).replace("$N", str(rng.randrange(10**4)))
             for _ in range(count)]
@@ -433,16 +487,29 @@ _AT_SCALE = {
     "unclosed-template": lambda rng: ["`"] + ["a "] * 20000,
     "css-rules": lambda rng: _pieces(rng, _CSS_RULES, 5000),
     "js-statements": lambda rng: _pieces(rng, _JS_STATEMENTS, 5000),
+    # markup, lexed by html_scan
+    "markup": lambda rng: _pieces(rng, _MARKUP, 3000),
+    "inert-tags": lambda rng: ['<div class="c" data-x=1>x</div>'] * 5000,
+    "live-tags": lambda rng: ['<a href="javascript:f()">x</a>'] * 5000,
+    "long-values": lambda rng: (["<p>x</p>"] * 2000
+                                + ['<b title="' + "a" * 40000 + '">']
+                                + ["<p>x</p>"] * 2000
+                                + ['<a href="javascript:' + "a" * 40000 + '">']
+                                + ["<p>x</p>"] * 2000),
+    "stray-lts": lambda rng: ["<"] * 20000,
 }
+_MARKUP_INPUTS = {"markup", "inert-tags", "live-tags", "long-values",
+                  "stray-lts"}
 
 
 @pytest.mark.parametrize("name", sorted(_AT_SCALE))
 def test_scanners_match_the_reference_browser_at_scale(name):
-    """Fifty tokens spread through long and hostile script and style
-    text: js_scan and css_scan give the findings and scan count of
-    ReferenceBrowser.  Each input repeats one construct that a stride
-    or a CSS plain range must step over or stop at, or leaves one open
-    to the end of the text."""
+    """Fifty tokens spread through long and hostile script, style and
+    markup text: js_scan and css_scan, or html_scan for markup, give the
+    findings and scan count of ReferenceBrowser.  Each input repeats one
+    construct that a stride or a CSS plain range must step over or stop
+    at, leaves one open to the end of the text, or holds a value longer
+    than a stride may cover."""
     rng = random.Random(name)
     registry = SinkRegistry(seed=5)
     tokens = [registry.register(frozenset({("o", ())}), f"s{i}")
@@ -453,7 +520,7 @@ def test_scanners_match_the_reference_browser_at_scale(name):
     for token, at in zip(tokens, places):
         pieces.insert(at, token)
     text = "".join(pieces)
-    for kind in ("js", "css"):
+    for kind in ("html",) if name in _MARKUP_INPUTS else ("js", "css"):
         browser = ModelBrowser(registry)
         reference = ReferenceBrowser(registry)
         getattr(browser, f"{kind}_scan")(text, ())

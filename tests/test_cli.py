@@ -440,3 +440,40 @@ def test_text_format_report(tmp_path, capsys):
     assert "incorrect: 1" in out
     assert "HTML escaping in JavaScript string" in out
     assert "FLAW" in out
+
+
+def test_exit_code_two_on_a_lone_surrogate_in_the_output(tmp_path, capsys):
+    # JSON input can hold "\ud800", which has no UTF-8 form: writing the
+    # clean document or the text report raised UnicodeEncodeError, a
+    # traceback and exit code 1, the "flaw found" code.
+    template, env = _write_case(tmp_path, FLAWED_SCRIPT_STRING)
+    bundle_path = tmp_path / "bundle.json"
+    main(["render", template, env, "--out", str(bundle_path)])
+    data = json.loads(bundle_path.read_text(encoding="utf-8"))
+    clean_out = tmp_path / "clean.html"
+
+    in_document = tmp_path / "document.json"
+    in_document.write_text(
+        json.dumps({**data, "document": data["document"] + "\ud800"}),
+        encoding="utf-8")
+    surrogate_env = tmp_path / "surrogate.env.json"
+    surrogate_env.write_text(
+        json.dumps({"request": {"POST": {"query": "\ud800"}}}),
+        encoding="utf-8")
+    in_sink = tmp_path / "sink.json"
+    entry = next(iter(data["registry"].values()))
+    entry["sink"] = "page:\ud800"
+    in_sink.write_text(json.dumps(data), encoding="utf-8")
+
+    for argv in (["analyze", str(in_document), "--clean-out", str(clean_out)],
+                 ["check", template, str(surrogate_env),
+                  "--clean-out", str(clean_out)],
+                 ["analyze", str(in_sink)]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+        assert not clean_out.exists(), argv
+    # The JSON report escapes the surrogate and stays valid.
+    assert main(["analyze", str(in_sink), "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert {v["sink"] for v in report["verdicts"]} == {"page:\ud800"}
