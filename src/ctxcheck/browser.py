@@ -13,16 +13,23 @@ map ``_CONTEXT`` from group name to the context of the group's text.
 ``ModelBrowser._lex`` runs the HTML and JavaScript tables over a text in
 one loop; an attribute-free tag is a table match, and any other start
 tag is read by ``_start_tag`` inside the loop, which resumes after the
-tag and its raw text.  CSS runs its own loop over a table of the
-constructs that own a context or hand text on: comments, strings and
-``url()``.  The plain text between them only moves the declaration
-state, since ``:`` starts a value outside one and ``;``, ``{`` and ``}``
-end it; without a token prefix, plain text costs one match for its last
-punctuation, and with one it is split only around the prefix.  A
-``url()`` payload is handed to the URI scanner only when it holds the
-token prefix, a ``\\`` or a ``:``: without a backslash CSS unescaping
-changes nothing, and without a colon no ``javascript:`` or ``data:``
-scheme can match, so the URI scanner would only look for the prefix.
+tag and its raw text.  As in Go's html/template, two tables say what
+markup hands on: ``_ELEMENTS`` gives each raw-text element the scanner
+method of its content and the context it adds, and ``_ATTRIBUTES`` each
+attribute kind (plain, event handler, style, URI; see
+``_ATTRIBUTE_KIND``) the scanner method of its value and the characters
+that end a run in its inertness rule.  The HTML table and stride and
+``_start_tag``'s dispatch are built from them.  CSS runs its own loop
+over a table of the constructs that own a context or hand text on:
+comments, strings and ``url()``.  The plain text between them only moves
+the declaration state, since ``:`` starts a value outside one and ``;``,
+``{`` and ``}`` end it; without a token prefix, plain text costs one
+match for its last punctuation, and with one it is split only around the
+prefix.  A ``url()`` payload is handed to the URI scanner only when it
+holds the token prefix, a ``\\`` or a ``:``: without a backslash CSS
+unescaping changes nothing, and without a colon no ``javascript:`` or
+``data:`` scheme can match, so the URI scanner would only look for the
+prefix.
 
 Each loop carries the position of the next token prefix, so a token-free
 range costs an integer comparison, not a classification; tag names,
@@ -44,9 +51,8 @@ a token that the raw text does not spell.
 
 The HTML scanner is deliberately forgiving.  Regions it cannot make
 sense of (tag and attribute names, declarations, unterminated
-constructs) are classified as Unknown rather than aborting the scan.
-JavaScript strings are terminal contexts: no attempt is made to follow
-data flow inside scripts.
+constructs) are classified as Unknown rather than aborting the scan.  No
+data flow is followed inside scripts.
 """
 
 from __future__ import annotations
@@ -57,11 +63,6 @@ import re
 from .annotations import TOKEN_PREFIX, TOKEN_RE, SinkRegistry
 from .contexts import BrowserContext, ContextSequence, Finding
 from .decoders import css_unescape, entity_decode, percent_decode
-
-# Attributes whose values a browser resolves as URIs.
-URI_ATTRIBUTES = frozenset(
-    {"href", "src", "action", "formaction", "poster", "cite", "background", "data"}
-)
 
 # Every cycle through a nested document (html -> attribute -> uri ->
 # html, through data:text/html) adds at least two contexts and several
@@ -90,17 +91,20 @@ def _quoted(quote: str, group: str | None, newline_ends: bool) -> str:
     string that its quote or newline closes.
     """
     newline = r"\n" if newline_ends else ""
-    plain = rf"[^{quote}\\{newline}]*"
+    # Runs end only at a backslash, which starts a repeat, or where the
+    # body ends, so the body never gives text back.
+    plain = rf"[^{quote}\\{newline}]*+"
     close = rf"{quote}|\n" if newline_ends else quote
-    body = rf"{plain}(?:\\[\s\S]{plain})*"
+    body = rf"{plain}(?:\\[\s\S]{plain})*+"
     if group is None:
         return rf"{quote}{body}(?:{close})"
     return rf"{quote}(?P<{group}>{body}\\?)(?:{close}|\Z)"
 
 
 def _block_comment(group: str | None) -> str:
-    """A /* */ comment that runs to the end of the text when unclosed."""
-    body = r"[^*]*(?:\*(?!/)[^*]*)*"
+    """A /* */ comment, to the end of the text when unclosed; its body
+    stops only before "*/" or at the end, so it never gives text back."""
+    body = r"[^*]*+(?:\*(?!/)[^*]*+)*+"
     if group is None:
         return rf"/\*{body}\*/"
     return rf"/\*(?P<{group}>{body})(?:\*/)?"
@@ -127,16 +131,30 @@ def _js_constructs(closed: bool) -> list[str]:
     ]
 
 
-_TAG_NAME = "[a-zA-Z][a-zA-Z0-9:_-]*"
-# A comment body runs up to the first "-->".
-_COMMENT_BODY = r"[^-]*(?:-(?!->)[^-]*)*"
+# Raw-text elements: the scanner method of their content, and its context.
+_ELEMENTS = {"script": ("js_scan", BrowserContext.HtmlScriptData),
+             "style": ("css_scan", BrowserContext.HtmlStyleData)}
+# Each attribute kind: the scanner method of its decoded value (None:
+# classify it) and the characters besides "&" ending a run in _inert_value.
+_ATTRIBUTES = {"plain": (None, ""), "event": ("js_scan", ""),
+               "css": ("css_scan", "uU"), "uri": ("uri_scan", ":")}
+# The kind of each lower-cased attribute name that has one; any other
+# name is an event handler if it starts with "on", and plain if not.
+_ATTRIBUTE_KIND = {"style": "css", **dict.fromkeys((
+    "href src action formaction poster cite background data").split(), "uri")}
+
+# A tag name stops only at a non-name character, never giving text back.
+_TAG_NAME = "[a-zA-Z][a-zA-Z0-9:_-]*+"
+_RAW_TEXT = f"(?i:{'|'.join(_ELEMENTS)})"
+# A comment body runs up to the first "-->" and never gives text back.
+_COMMENT_BODY = r"[^-]*+(?:-(?!->)[^-]*+)*+"
 _HTML = re.compile("|".join([
     rf"<!--(?P<html_comment>{_COMMENT_BODY})(?:-->)?",
     r"(?P<declaration><[!?][^>]*)>?",
     r"</(?P<end_tag>[^>]*)>",
     r"(?P<unclosed_end_tag></[\s\S]*)",
     # A tag without attributes, unless it opens raw text.
-    rf"<(?!(?i:script|style)[{_WS}/=]*>)(?P<bare_tag>{_TAG_NAME})[{_WS}/=]*>",
+    rf"<(?!{_RAW_TEXT}[{_WS}/=]*>)(?P<bare_tag>{_TAG_NAME})[{_WS}/=]*>",
     rf"<(?P<start_tag>{_TAG_NAME})",
     r"(?P<stray_lt><)",
 ]))
@@ -151,26 +169,27 @@ _ATTR_RE = re.compile(rf"""[{_WS}/=]*(?:
 )?""", re.X)
 
 # Raw text elements end at "</name" followed by whitespace, "/" or ">".
-_RAW_TEXT_END = {
-    tag: re.compile(rf"</{tag}(?=[{_WS}/>]|\Z)", re.I) for tag in ("script", "style")
-}
+_RAW_TEXT_END = {tag: re.compile(rf"</{tag}(?=[{_WS}/>]|\Z)", re.I)
+                 for tag in _ELEMENTS}
 
 _JS = re.compile("|".join(_js_constructs(closed=False)))
 # Code and closed constructs, ending after a construct, where lexing
 # with _JS also stops.  _lex matches it only up to the next token
-# prefix, so it never enters the construct holding the prefix.  Each
-# repeat starts at a distinct delimiter, so a failed last repeat
-# backtracks over its own text only.
-_JS_CODE = r"[^'\"`/]*(?:/(?![/*])[^'\"`/]*)*"
+# prefix, so it never enters the construct holding the prefix.  Code
+# stops only where a construct or the end is next, and nothing follows
+# the outer repeat, so neither gives text back; the outer repeats of
+# _CSS_STRIDE and _HTML_STRIDE are followed by nothing either.
+_JS_CODE = r"[^'\"`/]*+(?:/(?![/*])[^'\"`/]*+)*+"
 _JS_STRIDE = re.compile(
-    rf"(?:{_JS_CODE}(?:{'|'.join(_js_constructs(closed=True))}))*")
-# The regex engine keeps backtracking state for every repeat, about 16
-# bytes per character of a typical script (tracemalloc), so one stride,
-# in any language, covers at most this many characters.  A stride costs a call even when
-# it consumes nothing, and one that fails backtracks over its plain
-# text, so none is tried over a range of at most a 256th of this (64
-# characters): such ranges, short values and scripts above all, lex
-# faster construct by construct.
+    rf"(?:{_JS_CODE}(?:{'|'.join(_js_constructs(closed=True))}))*+")
+# A CSS stride's "plain" group must give text back to its last
+# punctuation, so the regex engine keeps state for each of its repeats
+# (uncapped, a stride over 1 MB of "u" held 227 MiB, tracemalloc), and
+# a CSS stride that fails backtracks over all it read.  So a stride, in
+# any language, covers at most this many characters.  A stride costs a call even when it consumes
+# nothing, so none is tried over a range of at most a 256th of this (64
+# characters): short values and scripts above all lex faster construct
+# by construct.
 _STRIDE_SPAN = 1 << 14
 
 
@@ -245,7 +264,7 @@ _CSS = re.compile("|".join(_css_constructs(closed=False)))
 # after a match the group ends at the stride's last punctuation.
 _CSS_STRIDE = re.compile(
     rf"(?:(?P<plain>{_css_text(punct=True)}[:;{{}}])?{_css_text(punct=False)}"
-    rf"(?:{'|'.join(_css_constructs(closed=True))}))*")
+    rf"(?:{'|'.join(_css_constructs(closed=True))}))*+")
 # A url() payload that could hold a token: css_unescape changes only
 # text with a backslash, and uri_scan looks for more than the prefix
 # only after a scheme's ":".
@@ -259,17 +278,10 @@ _CSS_RANGE_END = (re.compile(r"[:;{}]"), re.compile(r"[;{}]"))
 _CSS_DEFAULT = (BrowserContext.Unknown, BrowserContext.CssDeclValue)
 
 
-# The characters that end a run of ordinary attribute value characters,
-# besides "&": a URI's ":", and a style's "u" that may start url(.
-_VALUE_BANNED = {"js": "", "uri": ":", "css": "uU"}
-
-
 def _inert_value(kind: str, end: str) -> str:
-    """An attribute value that hands nothing on; ``end`` holds the
-    characters that end the value, and ``kind`` is "css" for style,
-    "uri" for a URI-valued name and "js" for any other: an event
-    handler's value needs only the entity rule, as does one that no
-    scanner reads.
+    """An attribute value of ``kind`` (a key of ``_ATTRIBUTES``) that
+    hands nothing on; ``end`` holds the characters that end the value.
+    A plain value and an event handler's need only the entity rule.
 
     Entity decoding may only turn ``&amp;``, ``&lt;``, ``&gt;`` and
     ``&quot;`` into "&<>\"", and it leaves an "&" that neither "#" nor
@@ -281,62 +293,52 @@ def _inert_value(kind: str, end: str) -> str:
     way in the raw and the decoded value, and hands none of them on,
     whatever CSS string or comment it lies in.
     """
-    # Runs of ordinary characters are one repeat each, which the regex
-    # engine walks far faster than a repeated alternation.
-    run = rf"[^&{_VALUE_BANNED[kind]}{end}]*"
+    # A run of ordinary characters is one repeat, far faster to walk than
+    # a repeated alternation.  Each special starts where a run ends and
+    # matches one way only, so the value never gives text back.
+    run = rf"[^&{_ATTRIBUTES[kind][1]}{end}]*+"
     special = [r"&(?:amp|lt|gt|quot);", r"&(?![#a-zA-Z])"]
     if kind == "css":
         special += [r"(?!(?i:url)\()[uU]", _css_url(True, "&(" + end)]
-    return rf"{run}(?:(?:{'|'.join(special)}){run})*"
+    return rf"{run}(?:(?:{'|'.join(special)}){run})*+"
 
 
 # _start_tag's test of a token-free value that hands nothing on, by
 # kind; it reads the value _ATTR_RE gave, so no delimiter occurs in it.
 _INERT_VALUE = {kind: re.compile(_inert_value(kind, ""))
-                for kind in _VALUE_BANNED}
-# The kind of each lower-cased attribute name other than "js".
-_VALUE_KIND = {"style": "css", **dict.fromkeys(URI_ATTRIBUTES, "uri")}
-
-_NAME_END = rf"(?=[{_WS}/=>])"
-_URI_NAMES = "|".join(sorted(URI_ATTRIBUTES))
+                for kind in _ATTRIBUTES}
 
 
-def _inert_attribute(name: str, kind: str) -> str:
-    """An attribute read as _ATTR_RE reads it, with no value or one that
-    hands nothing on.  Python 3.10 has no possessive quantifier, so each
-    name, run of whitespace and unquoted value ends where no longer match
-    could, and the pattern cannot re-split a live attribute into inert
-    ones when a later part fails."""
+def _inert_attribute(kind: str) -> str:
+    """An attribute of ``kind`` ("plain": any name not in _ATTRIBUTE_KIND)
+    read as _ATTR_RE reads it, with no value or one that hands nothing
+    on; an unquoted value neither starts at a quote nor ends early."""
+    names = "|".join(n for n, of in _ATTRIBUTE_KIND.items() if kind in ("plain", of))
+    name = rf"(?i:{names})(?=[{_WS}/=>])"
+    if kind == "plain":
+        name = rf"(?!{name})[^{_WS}/=>]++"
     values = [rf'"{_inert_value(kind, chr(34))}"',
               rf"'{_inert_value(kind, chr(39))}'",
-              rf"(?![\"'{_WS}]){_inert_value(kind, _WS + '>')}(?=[{_WS}>])"]
-    # A whitespace run given back would leave whitespace next, which
-    # neither a value nor the end of a valueless attribute may start at.
-    return (rf"{name}{_NAME_END}[{_WS}]*"
-            rf"(?:=[{_WS}]*(?:{'|'.join(values)})|(?![{_WS}=]))")
+              rf"(?![\"']){_inert_value(kind, _WS + '>')}(?=[{_WS}>])"]
+    return rf"{name}[{_WS}]*+(?:=[{_WS}]*+(?:{'|'.join(values)})|(?!=))"
 
 
 # A start tag that opens no raw text and whose attributes hand nothing
-# on, after its "<".  Every name that str.lower() makes "style" or a URI
-# name matches its own branch case-insensitively, as do a few more
-# (U+017F for "s"), which only get the stricter rule.  The tag name is
-# not given back either, which spares a failing stride from reading the
-# tag again with each shorter one.
+# on, after its "<".  A name that str.lower() puts in _ATTRIBUTE_KIND
+# matches its kind in any case, as do a few more (U+017F for "s"), which
+# only get a stricter rule; the plain rule is also an event handler's.
 _INERT_TAG = (
-    rf"(?!(?i:script|style)(?![a-zA-Z0-9:_-])){_TAG_NAME}(?![a-zA-Z0-9:_-])"
-    rf"(?:[{_WS}/=]*(?:"
-    + _inert_attribute(rf"(?!(?i:style|{_URI_NAMES}){_NAME_END})[^{_WS}/=>]+",
-                       "js")
-    + "|" + _inert_attribute("(?i:style)", "css")
-    + "|" + _inert_attribute(rf"(?i:{_URI_NAMES})", "uri")
-    + rf"))*[{_WS}/=]*>")
+    rf"(?!{_RAW_TEXT}(?![a-zA-Z0-9:_-])){_TAG_NAME}(?:[{_WS}/=]*+(?:"
+    + "|".join(map(_inert_attribute,
+                   ["plain", *dict.fromkeys(_ATTRIBUTE_KIND.values())]))
+    + rf"))*+[{_WS}/=]*+>")
 # Text and closed constructs that hand nothing on, ending after a
 # construct, where an _HTML match ends: comments, declarations (never
 # "<!--"), end tags, inert start tags, and a "<" that the next
 # character makes a stray one.
 _HTML_STRIDE = re.compile(
     rf"(?:[^<]*<(?:{_INERT_TAG}|/[^>]*>|!--{_COMMENT_BODY}-->"
-    r"|(?!!--)[!?][^>]*>|(?=[^!?/a-zA-Z])))*")
+    r"|(?!!--)[!?][^>]*>|(?=[^!?/a-zA-Z])))*+")
 
 _CONTEXT = {
     "html_comment": BrowserContext.HtmlComment,
@@ -471,7 +473,9 @@ class ModelBrowser:
                    prefix: ContextSequence) -> int:
         """Read attributes and raw text; return where lexing resumes.
 
-        A value is decoded and handed to a scanner or classified unless
+        The lower-cased attribute name picks a kind, and the tag name a
+        raw-text scanner, from the tables.  A value is decoded and handed
+        to its kind's scanner, or classified if it has none, unless
         ``_INERT_VALUE`` shows that it hands nothing on, the test
         _HTML_STRIDE makes, so ``scan_count`` does not depend on which
         of them reads a tag.
@@ -494,26 +498,22 @@ class ModelBrowser:
                 continue
             value = attr[attr.lastgroup]
             name = name.lower()
-            if TOKEN_PREFIX not in value:
-                # String tests settle the common cases first: a URI with
-                # ":" hands it on, and a value without "&" needs no
-                # entity rule.
-                kind = _VALUE_KIND.get(name, "js")
-                if (kind != "uri" or ":" not in value) and (
-                        "&" not in value and kind != "css"
-                        or _INERT_VALUE[kind].fullmatch(value)):
-                    continue
+            kind = _ATTRIBUTE_KIND.get(
+                name, "event" if name.startswith("on") else "plain")
+            scanner, ends = _ATTRIBUTES[kind]
+            if TOKEN_PREFIX not in value and (
+                    "&" not in value and not ends
+                    or _INERT_VALUE[kind].fullmatch(value)):
+                continue
             if "&" in value:
                 value = entity_decode(value)
-            if name.startswith("on"):
-                self.js_scan(value, prefix + (ctx,))
-            elif name == "style":
-                self.css_scan(value, prefix + (ctx,))
-            elif name in URI_ATTRIBUTES:
-                script_src = tag == "script" and name == "src"
-                self.uri_scan(value, prefix + (ctx,), script_src=script_src)
-            elif TOKEN_PREFIX in value:
-                self._classify(value, 0, len(value), prefix, ctx)
+            if scanner is None:
+                if TOKEN_PREFIX in value:
+                    self._classify(value, 0, len(value), prefix, ctx)
+            elif tag == "script" and name == "src":
+                self.uri_scan(value, prefix + (ctx,), script_src=True)
+            else:
+                getattr(self, scanner)(value, prefix + (ctx,))
         if attr.lastgroup == "unclosed_value":
             # Unterminated value swallows the rest; cover the whole
             # attribute so its name is not lost either.
@@ -523,15 +523,13 @@ class ModelBrowser:
         if attr.lastgroup is None:  # the tag never closes
             return len(text)
         start = attr.end()
-        if tag not in _RAW_TEXT_END:
+        if tag not in _ELEMENTS:
             return start
         # Raw text content is not entity-decoded.
         close = _RAW_TEXT_END[tag].search(text, start)
         end = len(text) if close is None else close.start()
-        if tag == "script":
-            self.js_scan(text[start:end], prefix + (BrowserContext.HtmlScriptData,))
-        else:
-            self.css_scan(text[start:end], prefix + (BrowserContext.HtmlStyleData,))
+        scanner, ctx = _ELEMENTS[tag]
+        getattr(self, scanner)(text[start:end], prefix + (ctx,))
         return end
 
     # -- JavaScript --------------------------------------------------------

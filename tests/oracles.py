@@ -8,12 +8,11 @@ shared the value of a repeated expansion.  The strip oracle is the
 original one-replace-per-token annotation strip, and the browser oracle
 the original hand-written scanners, changed only where the model was
 deliberately changed: the text between a quoted url() payload's closing
-quote and ")" is classified Unknown; a url() payload goes to the URI
-scanner only when it holds the token prefix, a "\\" or a ":", since
-without them unescaping and URI scanning can find nothing; and an
-attribute value goes to no scanner when _hands_nothing_on shows that
-decoding and scanning it could reveal no token.  The last two change
-scan_count, which the tests compare exactly.
+quote and ")" is classified Unknown.  The browser oracle takes none of
+the model's shortcuts: it decodes and scans every attribute value and
+every url() payload, where the model skips those that could reveal no
+token.  So its findings must equal the model's, and its scan_count may
+only exceed it.
 """
 
 from __future__ import annotations
@@ -22,10 +21,9 @@ import base64
 import itertools
 import random
 import re
-import string
 
-from ctxcheck.annotations import (TOKEN_PREFIX, TOKEN_RE, SinkRegistry,
-                                  UnknownResidue, emit_to_sink)
+from ctxcheck.annotations import (TOKEN_RE, SinkRegistry, UnknownResidue,
+                                  emit_to_sink)
 from ctxcheck.contexts import BrowserContext, ContextSequence, Finding
 from ctxcheck.decoders import css_unescape, entity_decode, percent_decode
 from ctxcheck.sanitizers import html_escape
@@ -178,51 +176,6 @@ def _token_set(registry) -> frozenset:
     return frozenset(registry.tokens())
 
 
-_KEPT_ENTITIES = ("&amp;", "&lt;", "&gt;", "&quot;")
-
-
-def _hands_nothing_on(name: str, value: str) -> bool:
-    """Whether an attribute value, entity-decoded and handed to the
-    scanner its lower-cased name picks, could reveal no token: it holds
-    no token prefix; each "&" starts one of _KEPT_ENTITIES or is
-    followed by neither "#" nor an ASCII letter; a URI-valued one holds
-    no ":"; and in a style, each "url(" of any case is closed by ")",
-    with no "&" or "(" in between, and its payload, bare or quoted,
-    holds no "\\" or ":"."""
-    if TOKEN_PREFIX in value:
-        return False
-    for at, char in enumerate(value):
-        after = value[at + 1:at + 2]
-        if char == "&" and not value.startswith(_KEPT_ENTITIES, at) and \
-                after and (after == "#" or after in string.ascii_letters):
-            return False
-    if name in URI_ATTRIBUTES:
-        return ":" not in value
-    if name != "style":
-        return True
-    for at in range(len(value)):
-        if value[at:at + 4].lower() != "url(":
-            continue
-        start = at + 4
-        while start < len(value) and value[start] in _WS:
-            start += 1
-        quote = value[start:start + 1]
-        if quote in ("\"", "'"):
-            payload_end = value.find(quote, start + 1)
-            if payload_end < 0:
-                return False
-            close = value.find(")", payload_end + 1)
-            payload = value[start + 1:payload_end]
-            tail = value[payload_end + 1:close]
-        else:
-            close = value.find(")", start)
-            payload, tail = value[start:close], ""
-        if close < 0 or any(c in payload for c in "\\:&(") or \
-                any(c in tail for c in "&("):
-            return False
-    return True
-
-
 class ReferenceBrowser:
     """One analysis pass over one document.
 
@@ -371,8 +324,6 @@ class ReferenceBrowser:
         else:
             ctx = BrowserContext.HtmlAttrUnq
         lname = name.lower()
-        if _hands_nothing_on(lname, value):
-            return
         decoded = entity_decode(value)
         if lname.startswith("on"):
             self.js_scan(decoded, prefix + (ctx,))
@@ -543,8 +494,7 @@ class ReferenceBrowser:
             close = text.find(")", j)
             payload = text[j:n if close == -1 else close].strip()
             tail = ""
-        if TOKEN_PREFIX in payload or "\\" in payload or ":" in payload:
-            self.uri_scan(css_unescape(payload), prefix)
+        self.uri_scan(css_unescape(payload), prefix)
         # Text between the closing quote and ")" is not part of the URL.
         self._classify(tail, prefix, BrowserContext.Unknown)
         return n if close == -1 else close + 1

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import base64
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -165,6 +166,9 @@ def test_tokens_revealed_only_by_decoding_are_found():
         # read as a valueless attribute and one named by the quoted
         # value, the value would hand nothing on
         (f'<a title = "&#x78;{rest}">', (C.HtmlAttrDq,)),
+        # read from its quote as an unquoted one, the value would end at
+        # the space and hand nothing on
+        (f'<a title="a &#x78;{rest}">', (C.HtmlAttrDq,)),
         (f"<a title =\t&#x78;{rest}>", (C.HtmlAttrUnq,)),
         (f"<a onclick='f(\"&#x78;{rest}\")'>", (C.HtmlAttrSq, C.JsStringDq)),
         (f'<a href="javascript:f(%27%78{rest}%27)">', (C.HtmlAttrDq, *js)),
@@ -401,15 +405,16 @@ FRAGMENTS = (
        st.one_of(st.integers(min_value=1, max_value=64),
                  st.integers(min_value=256, max_value=4096)))
 def test_scanners_match_the_reference_browser(pieces, script_src, span):
-    """Each scan entry point gives the findings and scan count of
-    ReferenceBrowser, the hand-written scanners the lexer tables replaced.
-    A JavaScript, CSS or HTML stride may stop after any closed construct,
-    so capping it at any number of characters changes nothing.  No
-    stride runs over a range of at most a 256th of the cap, so a cap
-    below 256 strides over every range, and a larger one skips the
-    short ones.
+    """Each scan entry point gives the findings of ReferenceBrowser, the
+    hand-written scanners the lexer tables replaced, and scans no more
+    often: the reference scans every value and url() payload that the
+    model skips as one that could reveal no token.  A JavaScript, CSS or
+    HTML stride may stop after any closed construct, so capping it at
+    any number of characters changes nothing.  No stride runs over a
+    range of at most a 256th of the cap, so a cap below 256 strides over
+    every range, and a larger one skips the short ones.
 
-    A ROADMAP item 3 fix that changes behaviour on purpose updates the
+    A ROADMAP item 4 fix that changes behaviour on purpose updates the
     reference with it.
     """
     text = "".join(pieces)
@@ -421,7 +426,7 @@ def test_scanners_match_the_reference_browser(pieces, script_src, span):
             getattr(browser, f"{kind}_scan")(text, (), **kwargs)
         getattr(reference, f"{kind}_scan")(text, (), **kwargs)
         assert browser.findings == reference.findings, kind
-        assert browser.scan_count == reference.scan_count, kind
+        assert browser.scan_count <= reference.scan_count, kind
 
 
 # Script and style text like that of the benchmark's script-heavy pages;
@@ -506,10 +511,10 @@ _MARKUP_INPUTS = {"markup", "inert-tags", "live-tags", "long-values",
 def test_scanners_match_the_reference_browser_at_scale(name):
     """Fifty tokens spread through long and hostile script, style and
     markup text: js_scan and css_scan, or html_scan for markup, give the
-    findings and scan count of ReferenceBrowser.  Each input repeats one
-    construct that a stride or a CSS plain range must step over or stop
-    at, leaves one open to the end of the text, or holds a value longer
-    than a stride may cover."""
+    findings of ReferenceBrowser and scan no more often.  Each input
+    repeats one construct that a stride or a CSS plain range must step
+    over or stop at, leaves one open to the end of the text, or holds a
+    value longer than a stride may cover."""
     rng = random.Random(name)
     registry = SinkRegistry(seed=5)
     tokens = [registry.register(frozenset({("o", ())}), f"s{i}")
@@ -526,7 +531,96 @@ def test_scanners_match_the_reference_browser_at_scale(name):
         getattr(browser, f"{kind}_scan")(text, ())
         getattr(reference, f"{kind}_scan")(text, ())
         assert browser.findings == reference.findings, kind
-        assert browser.scan_count == reference.scan_count, kind
+        assert browser.scan_count <= reference.scan_count, kind
+
+
+# Text of one long construct: a lexer repeat that keeps backtracking
+# state costs 50 to 120 bytes per character of it.
+_LONG_CONSTRUCTS = {
+    "js-string-of-backslash-pairs":
+        lambda token: "x='" + "\\\\" * (1 << 17) + token + "'",
+    "css-string-of-backslash-pairs":
+        lambda token: "a{b:'" + "\\\\" * (1 << 17) + token + "'}",
+    "comment-of-dash-pairs":
+        lambda token: "<!--" + "-a" * (1 << 17) + token + "-->",
+    "entities-in-a-title":
+        lambda token: '<a title="' + "&amp;" * 50000 + '">' + token,
+    "inert-tags":
+        lambda token: '<div class="c" data-x=1>x</div>' * 8000 + token,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LONG_CONSTRUCTS))
+def test_scanner_memory_stays_within_twice_the_input(name):
+    """Every scanner reads 250 KB or more of one construct, holding less
+    than twice its size at the peak (tracemalloc): no lexer repeat keeps
+    state for each character, so hostile input cannot exhaust memory."""
+    registry, token = _registry_with_token()
+    text = _LONG_CONSTRUCTS[name](token)
+    for kind in ("html", "js", "css", "uri"):
+        browser = ModelBrowser(registry)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            getattr(browser, f"{kind}_scan")(text, ())
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert [f.token for f in browser.findings] == [token], kind
+        assert peak < 2 * len(text), kind
+
+
+# Quote-free values, text that opens no tag either, and names that pick
+# each row of the element and attribute tables or only start like one.
+_QUOTE_FREE = tuple(f for f in FRAGMENTS if not {"'", '"'} & set(f))
+_TEXT = tuple(f for f in _QUOTE_FREE if "<" not in f)
+_TAG_NAMES = ("a", "b", "iframe", "script", "style", "scripts")
+_ATTRIBUTE_NAMES = ("href", "src", "data", "action", "formaction", "poster",
+                    "cite", "background", "style", "onclick", "title",
+                    "data-x", "hrefs")
+_ELEMENT_LISTS = st.lists(st.tuples(
+    st.sampled_from(_TAG_NAMES),
+    st.lists(st.tuples(st.sampled_from(_ATTRIBUTE_NAMES),
+                       st.lists(st.sampled_from(_QUOTE_FREE), max_size=4)),
+             max_size=3),
+    st.lists(st.sampled_from(_TEXT), max_size=6)), min_size=1, max_size=8)
+
+
+def _render(elements, quote='"', case=str):
+    """Each element with its attributes, its text and its end tag."""
+    return "".join(
+        f"<{case(tag)}"
+        + "".join(f" {case(name)}={quote}{''.join(value)}{quote}"
+                  for name, value in attributes)
+        + f">{''.join(text)}</{case(tag)}>" for tag, attributes, text in elements)
+
+
+def _findings(document):
+    browser = ModelBrowser(_REFERENCE_REGISTRY)
+    browser.html_scan(document, ())
+    return browser.findings
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ELEMENT_LISTS, st.randoms(use_true_random=False))
+def test_name_case_changes_no_finding(elements, rnd):
+    """Tag and attribute names pick their table rows in any ASCII case."""
+    def case(name):
+        return "".join(rnd.choice((char, char.upper())) for char in name)
+    assert _findings(_render(elements, case=case)) == _findings(_render(elements))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ELEMENT_LISTS)
+def test_quote_style_changes_only_the_attribute_context(elements):
+    """Single-quoting values that hold neither quote, instead of
+    double-quoting them, turns HtmlAttrDq into HtmlAttrSq where a
+    finding's context starts, and changes nothing else."""
+    swap = {C.HtmlAttrDq: C.HtmlAttrSq}
+    expected = [f._replace(context=(swap.get(f.context[0], f.context[0]),
+                                    *f.context[1:]))
+                for f in _findings(_render(elements))]
+    assert _findings(_render(elements, "'")) == expected
 
 
 # Fuzz documents: at most 80 pieces, each a fragment above (at most 41
