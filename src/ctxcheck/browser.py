@@ -168,8 +168,15 @@ _ATTR_RE = re.compile(rf"""[{_WS}/=]*(?:
                  |(?P<unclosed_value>["'])|(?P<attr_unq>[^{_WS}>]*)))?
 )?""", re.X)
 
-# Raw text elements end at "</name" followed by whitespace, "/" or ">".
-_RAW_TEXT_END = {tag: re.compile(rf"</{tag}(?=[{_WS}/>]|\Z)", re.I)
+# Raw text elements end at "</name" followed by whitespace, "/" or ">",
+# the name in ASCII case only, as the HTML tokenizer reads it: Unicode
+# folding would end a script at "</ſcript".  Only "i", "k" and "s" fold
+# to non-ASCII letters (U+0130, U+0131, U+212A, U+017F), so the other
+# case-insensitive patterns can only make the model stricter: "url" and
+# "data" hold none; _RAW_TEXT only sends more tags to _start_tag, which
+# reads ASCII names; a folded attribute name gets its kind's rule (see
+# _INERT_TAG); a folded "javascript:" only adds script contexts to Uri.
+_RAW_TEXT_END = {tag: re.compile(rf"</{tag}(?=[{_WS}/>]|\Z)", re.I | re.A)
                  for tag in _ELEMENTS}
 
 _JS = re.compile("|".join(_js_constructs(closed=False)))
@@ -400,7 +407,8 @@ class ModelBrowser:
             start, end = match.span()
             excerpt = text[max(lo, start - _EXCERPT_MARGIN):
                            min(hi, end + _EXCERPT_MARGIN)]
-            self.findings.append(Finding(token, prefix + (ctx,), excerpt))
+            self.findings.append(
+                tuple.__new__(Finding, (token, prefix + (ctx,), excerpt)))
 
     def _lex(self, text: str, prefix: ContextSequence, table: re.Pattern,
              default: BrowserContext, stride: re.Pattern,

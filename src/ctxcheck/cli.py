@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .annotations import UnknownResidue, strip_annotations
 from .browser import MissingToken, analyze
@@ -80,51 +81,40 @@ def _render_bundle(args) -> Bundle:
     return Bundle(document, registry)
 
 
-def _pattern_values() -> dict:
-    """Each bug pattern's report name, and None for a sufficient verdict."""
-    return {None: None, **{pattern: pattern.value for pattern in BugPattern}}
+_REPORT_JSON = ('{"summary": {"sanitizations": %d, "correct": %d,'
+                ' "incorrect": %d}, "findings": [%s], "patterns": {%s},'
+                ' "verdicts": [%s], "clean_document": %s}')
+_FINDING_JSON = '{"token": "%s", "context": %s, "excerpt": %s}'
+_VERDICT_JSON = ('{"token": "%s", "origin": %s, "chain": %s, "sink": %s,'
+                 ' "context": %s, "sufficient": %s, "pattern": %s}')
 
 
-def _report_dict(findings, verdicts: list[Verdict], summary: ReportSummary,
-                 clean_document: str) -> dict:
-    # Each distinct context sequence is named once per report; every
-    # verdict's context is one of the findings'.  json writes a shared
-    # list, and a tuple, the same as a fresh list.
-    names = {context: sequence_names(context)
-             for context in {f.context for f in findings}}
-    patterns = _pattern_values()
-    return {
-        "summary": {
-            "sanitizations": summary.sanitizations,
-            "correct": summary.correct,
-            "incorrect": summary.incorrect,
-        },
-        "findings": [
-            {
-                "token": f.token,
-                "context": names[f.context],
-                "excerpt": f.excerpt,
-            }
-            for f in findings
-        ],
-        "patterns": {
-            patterns[pattern]: count
-            for pattern, count in summary.pattern_counts.items()
-        },
-        "verdicts": [
-            {
-                "token": v.token,
-                "origin": v.triple.origin,
-                "chain": v.triple.chain,
-                "sink": v.triple.sink,
-                "context": names[v.context],
-                "sufficient": v.sufficient,
-                "pattern": patterns[v.pattern],
-            }
-            for v in verdicts
-        ],
-        "clean_document": clean_document,
-    }
+def _report_json(findings, verdicts: list[Verdict], summary: ReportSummary,
+                 clean_document: str) -> str:
+    """The JSON report, as the text json.dumps writes for it: one line,
+    ASCII, default separators.  Strings from input go through the C
+    encoder json.dumps uses; tokens are hex, and context and pattern
+    names identifiers.  Each distinct context sequence, chain and
+    pattern is encoded once; every verdict's context is a finding's."""
+    quote = encode_basestring_ascii
+    contexts = {ctx: "[%s]" % ", ".join(map(quote, sequence_names(ctx)))
+                for ctx in {f.context for f in findings}}
+    chains = {chain: "[%s]" % ", ".join(map(quote, chain))
+              for chain in {v.triple.chain for v in verdicts}}
+    outcomes = {None: ("true", "null"),
+                **{p: ("false", f'"{p.value}"') for p in BugPattern}}
+    return _REPORT_JSON % (
+        summary.sanitizations, summary.correct, summary.incorrect,
+        ", ".join([_FINDING_JSON % (token, contexts[context], quote(excerpt))
+                   for token, context, excerpt in findings]),
+        ", ".join([f'"{p.value}": {count}'
+                   for p, count in summary.pattern_counts.items()]),
+        ", ".join([_VERDICT_JSON % (token, quote(origin), chains[chain],
+                                    quote(sink), contexts[context],
+                                    *outcomes[pattern])
+                   for token, (origin, chain, sink), context, pattern
+                   in verdicts]),
+        quote(clean_document))
 
 
 def _report_text(verdicts: list[Verdict], summary: ReportSummary) -> str:
@@ -140,7 +130,6 @@ def _report_text(verdicts: list[Verdict], summary: ReportSummary) -> str:
     if verdicts:
         formatted = {context: format_sequence(context)
                      for context in {v.context for v in verdicts}}
-        patterns = _pattern_values()
         lines.append("")
         lines.append("verdicts:")
         for v in verdicts:
@@ -149,7 +138,7 @@ def _report_text(verdicts: list[Verdict], summary: ReportSummary) -> str:
             line = (f"  {status} origin={v.triple.origin} chain={chain}"
                     f" sink={v.triple.sink} context={formatted[v.context]}")
             if v.pattern:
-                line += f" pattern={patterns[v.pattern]}"
+                line += f" pattern={v.pattern.value}"
             lines.append(line)
     return "\n".join(lines)
 
@@ -167,10 +156,7 @@ def _analyze_bundle(bundle: Bundle, args) -> int:
         with open(args.clean_out, "wb") as handle:
             handle.write(data)
     if args.format == "json":
-        # Without indent, json uses its C encoder: one line, same value.
-        # The report is a fresh tree with no cycle to look for.
-        print(json.dumps(_report_dict(findings, verdicts, summary, clean),
-                         check_circular=False))
+        print(_report_json(findings, verdicts, summary, clean))
     else:
         print(_report_text(verdicts, summary))
     return 1 if summary.incorrect else 0

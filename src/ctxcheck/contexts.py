@@ -57,6 +57,7 @@ def format_sequence(sequence: ContextSequence) -> str:
     return "(" + ", ".join(sequence_names(sequence)) + ")"
 
 
+# The scanners build these with tuple.__new__, as RegistryEntry is.
 class Finding(NamedTuple):
     """One located annotation token and its resolved context sequence."""
 

@@ -46,8 +46,7 @@ class TemplateSyntaxError(Exception):
         self.offset = offset
 
 
-# Nodes are tuples: a template holds one per literal and expansion, and
-# a NamedTuple is built in about half the time of a frozen dataclass.
+# Nodes are tuples, built with tuple.__new__ as RegistryEntry is.
 class Literal(NamedTuple):
     text: str
 
@@ -89,10 +88,10 @@ def parse_template(source: str) -> Template:
     while i < n:
         start = source.find("{{", i)
         if start == -1:
-            nodes.append(Literal(source[i:]))
+            nodes.append(tuple.__new__(Literal, (source[i:],)))
             break
         if start > i:
-            nodes.append(Literal(source[i:start]))
+            nodes.append(tuple.__new__(Literal, (source[i:start],)))
         end = source.find("}}", start + 2)
         if end == -1:
             raise TemplateSyntaxError("unterminated expansion", offset=start)
@@ -111,7 +110,8 @@ def parse_template(source: str) -> Template:
                     raise TemplateSyntaxError(f"unknown filter {name!r}",
                                               offset=start)
             spec = parsed[raw] = (segments, filters)
-        nodes.append(Expansion(*spec, f"template:{ordinal}", raw))
+        nodes.append(tuple.__new__(
+            Expansion, (*spec, f"template:{ordinal}", raw)))
         ordinal += 1
         i = end + 2
     return Template(tuple(nodes))

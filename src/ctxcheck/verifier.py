@@ -55,6 +55,7 @@ class BugPattern(enum.Enum):
     __hash__ = object.__hash__
 
 
+# verify builds these with tuple.__new__, as RegistryEntry is.
 class SanitizationTriple(NamedTuple):
     """Deduplication key for counting distinct sanitization instances."""
 
@@ -204,14 +205,12 @@ def verify(findings: list[Finding], registry: SinkRegistry,
     verdicts: dict[tuple[SanitizationTriple, ContextSequence], Verdict] = {}
     decided: dict[tuple[SanitizerChain, ContextSequence],
                   BugPattern | None] = {}
-    for finding in findings:
-        entry = registry[finding.token]
-        context = finding.context
-        taint = entry.taint
+    for token, context, _ in findings:
+        taint, sink = registry[token]
         # A set's order follows string hashes, which differ between
         # runs; one entry, the common case, has no order to fix.
         for origin, chain in (sorted(taint) if len(taint) > 1 else taint):
-            triple = SanitizationTriple(origin, chain, entry.sink)
+            triple = tuple.__new__(SanitizationTriple, (origin, chain, sink))
             key = (triple, context)
             if key in verdicts:
                 continue
@@ -222,7 +221,8 @@ def verify(findings: list[Finding], registry: SinkRegistry,
                 pattern = decided[pair] = (
                     None if sufficient(chain, context, cmap)
                     else classify(chain, context))
-            verdicts[key] = Verdict(finding.token, triple, context, pattern)
+            verdicts[key] = tuple.__new__(
+                Verdict, (token, triple, context, pattern))
     return list(verdicts.values())
 
 

@@ -5,7 +5,9 @@ handled-context sets, which is exactly the definition the fast
 implementation must agree with.  It stays deliberately naive.  The
 render oracle expands every node on its own, as render did before it
 shared the value of a repeated expansion.  The strip oracle is the
-original one-replace-per-token annotation strip, and the browser oracle
+original one-replace-per-token annotation strip, the report oracle the
+dicts and lists that the CLI gave json.dumps before it wrote the JSON
+report as text, and the browser oracle
 the original hand-written scanners, changed only where the model was
 deliberately changed: the text between a quoted url() payload's closing
 quote and ")" is classified Unknown.  The browser oracle takes none of
@@ -24,11 +26,13 @@ import re
 
 from ctxcheck.annotations import (TOKEN_RE, SinkRegistry, UnknownResidue,
                                   emit_to_sink)
-from ctxcheck.contexts import BrowserContext, ContextSequence, Finding
+from ctxcheck.contexts import (BrowserContext, ContextSequence, Finding,
+                               sequence_names)
 from ctxcheck.decoders import css_unescape, entity_decode, percent_decode
 from ctxcheck.sanitizers import html_escape
 from ctxcheck.taint import TrackingMode
 from ctxcheck.template import FILTERS, Literal, resolve_path
+from ctxcheck.verifier import BugPattern
 
 # Alphabet for randomized maps and contexts; excludes the two contexts
 # that a valid map may never handle so generated maps stay loadable.
@@ -151,6 +155,48 @@ def reference_render(template, env, *, seed=None,
         else:
             out.append(value.text)
     return "".join(out), registry
+
+
+def reference_report_dict(findings, verdicts, summary,
+                          clean_document: str) -> dict:
+    """The JSON report as the value json.dumps(..., check_circular=False)
+    encodes; each distinct context sequence is named once, and every
+    verdict's context is one of the findings'."""
+    names = {context: sequence_names(context)
+             for context in {f.context for f in findings}}
+    patterns = {None: None, **{pattern: pattern.value for pattern in BugPattern}}
+    return {
+        "summary": {
+            "sanitizations": summary.sanitizations,
+            "correct": summary.correct,
+            "incorrect": summary.incorrect,
+        },
+        "findings": [
+            {
+                "token": f.token,
+                "context": names[f.context],
+                "excerpt": f.excerpt,
+            }
+            for f in findings
+        ],
+        "patterns": {
+            patterns[pattern]: count
+            for pattern, count in summary.pattern_counts.items()
+        },
+        "verdicts": [
+            {
+                "token": v.token,
+                "origin": v.triple.origin,
+                "chain": v.triple.chain,
+                "sink": v.triple.sink,
+                "context": names[v.context],
+                "sufficient": v.sufficient,
+                "pattern": patterns[v.pattern],
+            }
+            for v in verdicts
+        ],
+        "clean_document": clean_document,
+    }
 
 
 # -- Reference model browser ---------------------------------------------
@@ -338,8 +384,10 @@ class ReferenceBrowser:
     def _raw_content(self, text: str, start: int, prefix: ContextSequence,
                      script: bool) -> int:
         # Raw text elements end at "</name" followed by whitespace, "/"
-        # or ">"; their content is not entity-decoded.
-        close_re = re.compile(r"</script" if script else r"</style", re.I)
+        # or ">", the name in ASCII case only; their content is not
+        # entity-decoded.
+        close_re = re.compile(r"</script" if script else r"</style",
+                              re.I | re.A)
         end = len(text)
         for candidate in close_re.finditer(text, start):
             after = candidate.end()

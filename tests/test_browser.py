@@ -6,7 +6,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ctxcheck import browser as browser_module
@@ -361,6 +361,29 @@ def test_attribute_free_tags_and_raw_text_tags_of_any_case():
         assert [f.context for f in findings] == [expected], document
 
 
+@pytest.mark.parametrize("document, expected", [
+    ('<script>var s="</\u017fcript><b>{}</b>";</script>',
+     (C.HtmlScriptData, C.JsStringDq)),
+    ('<script>var s="</scr\u0131pt><b>{}</b>";</script>',
+     (C.HtmlScriptData, C.JsStringDq)),
+    ('<SCRIPT>var s="</SCR\u0130PT><b>{}</b>";</SCRIPT>',
+     (C.HtmlScriptData, C.JsStringDq)),
+    ('<style>a{{content:"</\u017ftyle><b>{}</b>"}}</style>',
+     (C.HtmlStyleData, C.CssString)),
+], ids=["long-s-script", "dotless-i-script", "dotted-I-script",
+        "long-s-style"])
+def test_raw_text_ends_only_at_an_ascii_end_tag_name(document, expected):
+    # The HTML tokenizer matches an end tag's name in ASCII case only,
+    # so a name that only Unicode case folding turns into "script" or
+    # "style" leaves the element open.
+    registry, token = _registry_with_token()
+    document = document.format(token)
+    reference = ReferenceBrowser(registry)
+    reference.html_scan(document, ())
+    for findings in (analyze(document, registry), reference.findings):
+        assert [f.context for f in findings] == [expected]
+
+
 _REFERENCE_REGISTRY = SinkRegistry(seed=4)
 _REFERENCE_TOKENS = tuple(
     _REFERENCE_REGISTRY.register(frozenset({("o", ())}), f"s{i}") for i in range(2))
@@ -621,6 +644,84 @@ def test_quote_style_changes_only_the_attribute_context(elements):
                                     *f.context[1:]))
                 for f in _findings(_render(elements))]
     assert _findings(_render(elements, "'")) == expected
+
+
+def _pairs(document):
+    """Each finding's token and context: an insertion moves excerpts."""
+    return [(f.token, f.context) for f in _findings(document)]
+
+
+# Token-free filler that hands nothing on, by where it goes: markup
+# between elements (text, entities, a stray "<", comments, declarations,
+# end tags and start tags with inert attributes), and script or style
+# text at the start of an element's content, where it leaves the lexer
+# in its default state.  Quotes and comment openers sit inside closed
+# constructs, where a stride that misread one would end elsewhere.
+_FILLER = {
+    "markup": ("lorem ipsum ", "&amp; ", "1 < 2 ", "\n", "<!-- it's -->",
+               "<!DOCTYPE html>", "<br/>", "<p>", "</p>", "</div>",
+               '<div class="c" data-x=1>', "<a href='/x?a=1&amp;b=2' title=t>",
+               '<b title="a\'b /* c">'),
+    "script": ("var a = 1 / 2;\n", "/* it's */", "// don't\n", "'a\\'b';",
+               '"/*";', "`x'y`;", "f(x);\n"),
+    "style": ("/* it's */", "a { content: 'x;y' } ", "b{c:d}",
+              "p { background: url(a.png) } ", "i{quotes:\"'\" \"'\"}"),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ELEMENT_LISTS,
+       st.lists(st.tuples(st.integers(min_value=0, max_value=8), st.booleans(),
+                          st.integers(min_value=65,
+                                      max_value=browser_module._STRIDE_SPAN
+                                      + 1024)),
+                min_size=1, max_size=3),
+       st.randoms(use_true_random=False))
+def test_inert_filler_changes_no_finding(elements, insertions, rnd):
+    """Filler long enough to stride over, up to past a stride's cap,
+    inserted between elements or at the start of an element's content,
+    changes no finding's token or context."""
+    before, inside = {}, {}
+    for at, within, length in insertions:
+        at = min(at, len(elements) - within)
+        kind = elements[at][0] if within else "markup"
+        pool = _FILLER.get(kind, _FILLER["markup"])
+        filler = []
+        while length > 0:
+            filler.append(rnd.choice(pool))
+            length -= len(filler[-1])
+        (inside if within else before)[at] = "".join(filler)
+    document = "".join(
+        before.get(i, "") + _render([(tag, attributes,
+                                      [inside.get(i, ""), *text])])
+        for i, (tag, attributes, text) in enumerate(elements))
+    document += before.get(len(elements), "")
+    assert _pairs(document) == _pairs(_render(elements))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ELEMENT_LISTS, st.data())
+def test_a_numeric_entity_in_a_token_free_value_changes_no_finding(elements,
+                                                                   data):
+    """Spelling one character of a value that spells no registered token,
+    raw or decoded, as a decimal or hex character reference takes the
+    value off the inert path and changes no finding."""
+    values = [(e, a) for e, (_, attributes, _) in enumerate(elements)
+              for a, (_, value) in enumerate(attributes)
+              if value and not any(token[1:] in "".join(value)
+                                   for token in _REFERENCE_TOKENS)]
+    assume(values)
+    e, a = data.draw(st.sampled_from(values))
+    tag, attributes, text = elements[e]
+    name, value = attributes[a]
+    value = "".join(value)
+    i = data.draw(st.integers(min_value=0, max_value=len(value) - 1))
+    spelled = data.draw(st.sampled_from(("&#%d;", "&#x%x;", "&#X%X;")))
+    attributes = [*attributes[:a],
+                  (name, [value[:i], spelled % ord(value[i]), value[i + 1:]]),
+                  *attributes[a + 1:]]
+    changed = [*elements[:e], (tag, attributes, text), *elements[e + 1:]]
+    assert _pairs(_render(changed)) == _pairs(_render(elements))
 
 
 # Fuzz documents: at most 80 pieces, each a fragment above (at most 41

@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import json
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from ctxcheck.annotations import strip_annotations
 from ctxcheck.browser import analyze
-from ctxcheck.cli import main
-from ctxcheck.contexts import sequence_names
+from ctxcheck.cli import _report_json, main
+from ctxcheck.contexts import BrowserContext, Finding, sequence_names
 from ctxcheck.template import parse_template, render
-from ctxcheck.verifier import aggregate, default_context_map, verify
+from ctxcheck.verifier import (BugPattern, ReportSummary, SanitizationTriple,
+                               Verdict, aggregate, default_context_map, verify)
 
 from corpus import (
     ALL_CORRECT_SHOP,
@@ -17,6 +21,7 @@ from corpus import (
     JS_CODE_ARGUMENT,
     TEMPLATE_CASES,
 )
+from oracles import reference_report_dict
 
 
 def _write_case(tmp_path, case):
@@ -180,6 +185,58 @@ def test_json_report_with_shared_contexts_encodes_as_before(tmp_path,
     })
     assert len({f.context for f in findings}) < len(findings)
     assert out == expected + "\n"
+
+
+# Text that json escapes in every way it can: quotes, backslashes, C0
+# controls, DEL, the line and paragraph separators, lone surrogates and
+# characters outside the BMP, among any others.
+_AWKWARD_TEXT = st.text(st.one_of(st.sampled_from([
+    '"', "\\", "/", "\x7f", "\u2028", "\u2029", "\ud800", "\udbff", "\udc00",
+    "\udfff", "\U00010000", "\U0001f600", "\U0010ffff",
+    *map(chr, range(0x20))]), st.characters()), max_size=12)
+_TOKENS = st.integers(0, (1 << 128) - 1).map("xtnt%032x".__mod__)
+_COUNTS = st.integers(0, 1 << 40)
+
+
+@st.composite
+def _reports(draw):
+    """Findings, verdicts on their contexts, a summary and a document."""
+    findings = draw(st.lists(st.builds(
+        Finding, _TOKENS,
+        st.lists(st.sampled_from(BrowserContext), max_size=3).map(tuple),
+        _AWKWARD_TEXT), max_size=4))
+    verdicts = draw(st.lists(st.builds(
+        Verdict, _TOKENS,
+        st.builds(SanitizationTriple, _AWKWARD_TEXT,
+                  st.lists(_AWKWARD_TEXT, max_size=3).map(tuple),
+                  _AWKWARD_TEXT),
+        st.sampled_from([f.context for f in findings]),
+        st.one_of(st.none(), st.sampled_from(BugPattern))),
+        max_size=4)) if findings else []
+    summary = draw(st.builds(
+        ReportSummary, _COUNTS, _COUNTS, _COUNTS,
+        st.dictionaries(st.sampled_from(BugPattern), _COUNTS)))
+    return findings, verdicts, summary, draw(_AWKWARD_TEXT)
+
+
+# One verdict per bug pattern, one sufficient, and every pattern counted.
+_EVERY_PATTERN = (
+    [Finding("xtnt" + "0" * 32, (BrowserContext.HtmlText,), "\ud800\"")],
+    [Verdict("xtnt" + "0" * 32, SanitizationTriple("o", ("s",), "k"),
+             (BrowserContext.HtmlText,), pattern)
+     for pattern in (None, *BugPattern)],
+    ReportSummary(8, 1, 7, dict.fromkeys(BugPattern, 1)), "")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reports())
+@example(_EVERY_PATTERN)
+@example(([], [], ReportSummary(0, 0, 0, {}), ""))
+def test_json_report_is_the_text_json_dumps_writes(report):
+    """The report writer gives, byte for byte, what json.dumps gives
+    for the same report as dicts and lists."""
+    expected = json.dumps(reference_report_dict(*report), check_circular=False)
+    assert _report_json(*report) == expected
 
 
 def test_render_literals_only_has_empty_registry(tmp_path, capsys):
