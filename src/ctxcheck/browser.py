@@ -10,28 +10,27 @@ element to the context sequence of the tokens it classifies.
 Each language is a lexer table: one alternation regex whose named groups
 are the constructs that leave the language's default context, and the
 map ``_CONTEXT`` from group name to the context of the group's text.
-``ModelBrowser._lex`` runs the HTML and JavaScript tables over a text in
-one loop; an attribute-free tag is a table match, and any other start
-tag is read by ``_start_tag`` inside the loop, which resumes after the
-tag and its raw text.  As in Go's html/template, two tables say what
+``ModelBrowser._lex`` is the one loop that runs every table over a text.
+A group without a context names, in ``_READER``, the method that reads
+on from it and returns where lexing resumes: ``_start_tag`` reads a
+start tag with attributes or raw text, and the raw text after it, and
+``_css_url`` a ``url()``.  As in Go's html/template, two tables say what
 markup hands on: ``_ELEMENTS`` gives each raw-text element the scanner
 method of its content and the context it adds, and ``_ATTRIBUTES`` each
 attribute kind (plain, event handler, style, URI; see
 ``_ATTRIBUTE_KIND``) the scanner method of its value and the characters
 that end a run in its inertness rule.  The HTML table and stride and
-``_start_tag``'s dispatch are built from them.  CSS runs its own loop
-over a table of the constructs that own a context or hand text on:
-comments, strings and ``url()``.  The plain text between them only moves
-the declaration state, since ``:`` starts a value outside one and ``;``,
-``{`` and ``}`` end it; without a token prefix, plain text costs one
-match for its last punctuation, and with one it is split only around the
-prefix.  A ``url()`` payload is handed to the URI scanner only when it
-holds the token prefix, a ``\\`` or a ``:``: without a backslash CSS
-unescaping changes nothing, and without a colon no ``javascript:`` or
-``data:`` scheme can match, so the URI scanner would only look for the
-prefix.
+``_start_tag``'s dispatch are built from them.  CSS's declaration state
+is lexer data as well: its ``css_punct`` group matches ":", ";", "{"
+and "}" in ``_CSS``, the table outside a declaration value, and only
+";{}" in ``_CSS_IN_VALUE``, so a ":" in a value stays value text, and
+``_NEXT`` gives the table and default context that follow each.  A
+``url()`` payload is handed to the URI scanner only when it holds the
+token prefix, a ``\\`` or a ``:``: without a backslash CSS unescaping
+changes nothing, and without a colon no ``javascript:`` or ``data:``
+scheme can match, so the URI scanner would only look for the prefix.
 
-Each loop carries the position of the next token prefix, so a token-free
+The loop carries the position of the next token prefix, so a token-free
 range costs an integer comparison, not a classification; tag names,
 attribute names, plain attribute values and plain URIs are classified
 only when they hold the prefix.  In a script, the code and closed
@@ -40,10 +39,11 @@ closed comments, strings and ``url()`` that hand nothing on; and in
 markup, the text, closed comments, declarations and end tags, stray
 "<" and the start tags that open no raw text and whose attribute values
 hand nothing on (``_inert_value``), are consumed by one match, a stride,
-that ends where a table match ends.  Ranges too short to pay for a
-stride are not strode over, and after a stride that a live construct
-stopped early the next waits (``_next_stride``).  ``_start_tag`` hands
-an attribute value that hands nothing on to no scanner either.
+that ends where a table match ends; a CSS stride's last punctuation
+sets the declaration state.  Ranges too short to pay for a stride are
+not strode over, and after a stride that a live construct stopped early
+the next waits (``_next_stride``).  ``_start_tag`` hands an attribute
+value that hands nothing on to no scanner either.
 JavaScript strings and comments are terminal, so lexing a script stops
 after its last token prefix.  HTML, CSS and URI text is walked to its
 end, because entity, percent, CSS-escape and base64 decoding can reveal
@@ -76,6 +76,10 @@ MAX_NESTING = 64
 _WS = r" \t\n\r\f"
 _JS_URI_RE = re.compile(r"\s*javascript:(.*)\Z", re.I | re.S)
 _DATA_URI_RE = re.compile(r"\s*data:([^,]*),(.*)\Z", re.I | re.S)
+# As Fetch's data: URL processor reads it, a body is base64 only when
+# the MIME type ends with ";", spaces and "base64" in any ASCII case,
+# before trailing ASCII whitespace.
+_BASE64_END = re.compile(r";[ ]*base64[ \t\n\r\f]*\Z", re.I | re.A)
 _EXCERPT_MARGIN = 40
 
 
@@ -260,10 +264,19 @@ def _css_text(punct: bool) -> str:
     return rf"{other}*(?:(?:/(?!\*)|(?!(?i:url)\()[uU]){other}*)*"
 
 
-# The plain text between the constructs only moves the declaration
-# state: ":" starts a value outside one (in selectors and property
-# names), and ";", "{" and "}" end it.
-_CSS = re.compile("|".join(_css_constructs(closed=False)))
+def _css_table(punct: str) -> re.Pattern:
+    """CSS's lexer table, whose ``css_punct`` group is ``punct``."""
+    return re.compile("|".join([*_css_constructs(closed=False),
+                                rf"(?P<css_punct>[{punct}])"]))
+
+
+# Outside a declaration value (in selectors and property names) ":"
+# starts one; ";", "{" and "}" end it, and inside one ":" is value text.
+_CSS = _css_table(":;{}")
+_CSS_IN_VALUE = _css_table(";{}")
+# The table and default context that follow each punctuation character.
+_NEXT = {":": (_CSS_IN_VALUE, BrowserContext.CssDeclValue),
+         **dict.fromkeys(";{}", (_CSS, BrowserContext.Unknown))}
 # Plain text and closed, inert constructs, ending after a construct, as
 # _JS_STRIDE does.  Each repeat's "plain" group ends at the last
 # punctuation before its construct; the regex engine keeps the last
@@ -276,13 +289,6 @@ _CSS_STRIDE = re.compile(
 # text with a backslash, and uri_scan looks for more than the prefix
 # only after a scheme's ":".
 _URL_LIVE = re.compile(rf"{TOKEN_PREFIX}|[\\:]")
-# The last punctuation of a plain range, and its last value end.
-_CSS_LAST_PUNCT = re.compile(r".*[:;{}]", re.S)
-_CSS_LAST_VALUE_END = re.compile(r".*[;{}]", re.S)
-# Where a plain range ends, outside a value and inside one.
-_CSS_RANGE_END = (re.compile(r"[:;{}]"), re.compile(r"[;{}]"))
-# css_scan's default context outside a declaration value and inside one.
-_CSS_DEFAULT = (BrowserContext.Unknown, BrowserContext.CssDeclValue)
 
 
 def _inert_value(kind: str, end: str) -> str:
@@ -413,19 +419,22 @@ class ModelBrowser:
     def _lex(self, text: str, prefix: ContextSequence, table: re.Pattern,
              default: BrowserContext, stride: re.Pattern,
              to_end: bool = False) -> None:
-        """Classify ``text`` with a lexer table.
+        """Classify ``text`` with a lexer table, starting from ``table``.
 
         Text between matches gets ``default`` and each match's group
         text the group's context.  ``nxt``, the first token prefix at or
         after ``pos`` (the end of the text if none), guards each range;
         a prefix that straddles a range's end costs a classification
-        that finds nothing.  A start tag (a group without a context) is
-        read by ``_start_tag``.  Lexing stops once no prefix is left,
-        unless ``to_end``.  Each step whose ``nxt`` (or end) is far
-        enough ahead, and that ``_next_stride`` lets stride, first
-        strides as far as it can before it, up to ``_STRIDE_SPAN``
-        characters, with ``stride``, a pattern that ends only where a
-        table match ends.
+        that finds nothing.  A group without a context is read by its
+        reader (``_READER``), except ``css_punct``, whose character
+        picks the table and default that follow (``_NEXT``).  Lexing
+        stops once no prefix is left, unless ``to_end``.  Each step
+        whose ``nxt`` (or end) is far enough ahead, and that
+        ``_next_stride`` lets stride, first strides as far as it can
+        before it, up to ``_STRIDE_SPAN`` characters, with ``stride``, a
+        pattern that ends only where a table match ends; a stride's
+        "plain" group, which only CSS's has, ends at its last
+        punctuation.
         """
         pos = 0
         end = len(text)
@@ -435,9 +444,11 @@ class ModelBrowser:
         retry, gap = 0, short + 1
         while to_end or nxt < end:
             if nxt - pos > short and pos >= retry:
-                began = pos
-                pos = stride.match(text, pos, min(nxt, pos + _STRIDE_SPAN)).end()
-                retry, gap = _next_stride(began, pos, gap)
+                strode = stride.match(text, pos, min(nxt, pos + _STRIDE_SPAN))
+                if strode.lastgroup is not None:
+                    table, default = _NEXT[text[strode.end("plain") - 1]]
+                retry, gap = _next_stride(pos, strode.end(), gap)
+                pos = strode.end()
             if (match := table.search(text, pos)) is None:
                 break
             start = match.start()
@@ -446,14 +457,16 @@ class ModelBrowser:
                 if (nxt := text.find(TOKEN_PREFIX, start)) < 0:
                     nxt = end
             group = match.lastgroup
-            ctx = _CONTEXT.get(group)
-            if ctx is None:
-                pos = self._start_tag(text, match, prefix)
-            else:
+            if (ctx := _CONTEXT.get(group)) is not None:
                 lo, hi = match.span(group)
                 if nxt < hi:
                     self._classify(text, lo, hi, prefix, ctx)
                 pos = match.end()
+            elif group == "css_punct":
+                table, default = _NEXT[text[start]]
+                pos = match.end()
+            else:
+                pos = _READER[group](self, text, match, prefix)
             if nxt < pos and (nxt := text.find(TOKEN_PREFIX, pos)) < 0:
                 nxt = end
         if nxt < end:
@@ -519,7 +532,11 @@ class ModelBrowser:
                 if TOKEN_PREFIX in value:
                     self._classify(value, 0, len(value), prefix, ctx)
             elif tag == "script" and name == "src":
-                self.uri_scan(value, prefix + (ctx,), script_src=True)
+                # A script's source is fetched, not parsed: one terminal
+                # scan.
+                self.scan_count += 1
+                self._classify(value, 0, len(value), prefix + (ctx,),
+                               BrowserContext.UriScriptSrc)
             else:
                 getattr(self, scanner)(value, prefix + (ctx,))
         if attr.lastgroup == "unclosed_value":
@@ -557,113 +574,53 @@ class ModelBrowser:
     # -- CSS ----------------------------------------------------------------
 
     def css_scan(self, text: str, prefix: ContextSequence = ()) -> None:
-        """Scan a declaration list or stylesheet fragment.
+        """Lex a declaration list or stylesheet fragment to its end.
 
         Tokens in declaration values, strings and comments get their own
         contexts; selector and property-name positions are Unknown.
-        A url(...) payload that holds the token prefix, a "\\" or a ":"
-        is unescaped and handed to the URI scanner; any other could
-        reveal no token.  ``nxt`` is carried, and each step strides, as
-        in ``_lex`` (also up to the end of the text once no prefix is
-        left, since a url() payload may still need handing on); the
-        stride's last punctuation sets the declaration state.  Plain
-        text between constructs is read by ``_css_plain`` when it holds
-        a prefix; otherwise only its last punctuation is looked for.
+        Lexing starts outside a declaration value, with ``_CSS``, and
+        runs to the end, since a url() payload may still need handing on
+        once no prefix is left.
         """
         self.scan_count += 1
-        prefix = tuple(prefix)
-        pos = 0
-        nxt = text.find(TOKEN_PREFIX)
-        in_value = False
-        short = _STRIDE_SPAN >> 8
-        retry, gap = 0, short + 1
-        while True:
-            stop = nxt if nxt >= 0 else len(text)
-            if stop - pos > short and pos >= retry:
-                stride = _CSS_STRIDE.match(text, pos,
-                                           min(stop, pos + _STRIDE_SPAN))
-                if (last := stride.end("plain")) > 0:
-                    in_value = text[last - 1] == ":"
-                retry, gap = _next_stride(pos, stride.end(), gap)
-                pos = stride.end()
-            if (match := _CSS.search(text, pos)) is None:
-                break
-            start = match.start()
-            if 0 <= nxt < start:
-                in_value, nxt = self._css_plain(text, pos, start, nxt,
-                                                prefix, in_value)
-            elif pos < start and \
-                    (last := _CSS_LAST_PUNCT.match(text, pos, start)):
-                in_value = text[last.end() - 1] == ":"
-            pos = match.end()
-            group = match.lastgroup
-            lo, hi = match.span(group)
-            ctx = _CONTEXT.get(group)
-            if ctx is None:
-                if _URL_LIVE.search(text, lo, hi):
-                    payload = match[group]
-                    if group == "url_bare":
-                        payload = payload.strip()
-                    self.uri_scan(css_unescape(payload), prefix)
-                # The text between a closing quote and ")"; a bare
-                # payload runs up to ")", so its tail is empty.
-                ctx = BrowserContext.Unknown
-                lo = hi + 1
-                hi = pos - 1 if text.endswith(")", lo, pos) else pos
-            if 0 <= nxt < hi:
-                self._classify(text, lo, hi, prefix, ctx)
-            if 0 <= nxt < pos:
-                nxt = text.find(TOKEN_PREFIX, pos)
-        if nxt >= 0:
-            self._css_plain(text, pos, len(text), nxt, prefix, in_value)
+        self._lex(text, tuple(prefix), _CSS, BrowserContext.Unknown,
+                  _CSS_STRIDE, to_end=True)
 
-    def _css_plain(self, text: str, lo: int, hi: int, nxt: int,
-                   prefix: ContextSequence, in_value: bool) -> tuple:
-        """Classify the ranges of plain CSS ``text[lo:hi]`` that hold a
-        token prefix, ``nxt`` being the first at or after ``lo``.
+    def _css_url(self, text: str, match: re.Match,
+                 prefix: ContextSequence) -> int:
+        """Read a url(); return where lexing resumes.
 
-        A range ends at ";", "{", "}" and, outside a value, at ":".  Only
-        the range around each prefix is found: it starts after the last
-        value end before the prefix, or after the first ":" that follows
-        that end when it is outside a value.  Text after the last prefix
-        costs one match for its last punctuation.  Returns the
-        declaration state at ``hi`` and the first prefix at or after
-        ``hi``.
+        A payload that holds the token prefix, a "\\" or a ":" is
+        unescaped and handed to the URI scanner; any other could reveal
+        no token.  The text between a closing quote and ")" is not part
+        of the URL and is Unknown; a bare payload runs up to ")", so its
+        tail is empty.
         """
-        while 0 <= nxt < hi:
-            if (last := _CSS_LAST_VALUE_END.match(text, lo, nxt)) is not None:
-                lo, in_value = last.end(), False
-            if not in_value and (colon := text.find(":", lo, nxt)) >= 0:
-                lo, in_value = colon + 1, True
-            end = _CSS_RANGE_END[in_value].search(text, nxt, hi)
-            end = hi if end is None else end.start()
-            self._classify(text, lo, end, prefix, _CSS_DEFAULT[in_value])
-            nxt = text.find(TOKEN_PREFIX, end)
-            if end == hi:
-                return in_value, nxt
-            in_value = text[end] == ":"
-            lo = end + 1
-        if (last := _CSS_LAST_PUNCT.match(text, lo, hi)) is not None:
-            in_value = text[last.end() - 1] == ":"
-        return in_value, nxt
+        group = match.lastgroup
+        lo, hi = match.span(group)
+        if _URL_LIVE.search(text, lo, hi):
+            payload = match[group]
+            if group == "url_bare":
+                payload = payload.strip()
+            self.uri_scan(css_unescape(payload), prefix)
+        pos = match.end()
+        tail_end = pos - 1 if text.endswith(")", hi + 1, pos) else pos
+        if hi + 1 < tail_end:
+            self._classify(text, hi + 1, tail_end, prefix,
+                           BrowserContext.Unknown)
+        return pos
 
     # -- URI ------------------------------------------------------------------
 
-    def uri_scan(self, text: str, prefix: ContextSequence = (),
-                 script_src: bool = False) -> None:
+    def uri_scan(self, text: str, prefix: ContextSequence = ()) -> None:
         """Match a URI against the schemes worth recursing into.
 
         javascript: bodies are percent-decoded and lexed as JavaScript;
-        data:text/html payloads are decoded and parsed as HTML.  Script
-        source URIs are terminal and keep their own context.  Everything
-        else is a plain URI.
+        data:text/html payloads are decoded and parsed as HTML.
+        Everything else is a plain URI.
         """
         self.scan_count += 1
         prefix = tuple(prefix)
-        if script_src:
-            self._classify(text, 0, len(text), prefix,
-                           BrowserContext.UriScriptSrc)
-            return
         match = _JS_URI_RE.match(text)
         if match:
             body = percent_decode(match.group(1))
@@ -672,11 +629,12 @@ class ModelBrowser:
         match = _DATA_URI_RE.match(text)
         if match:
             header, payload = match.group(1), match.group(2)
-            parts = [p.strip().lower() for p in header.split(";")]
-            if parts[0] == "text/html":
-                if "base64" in parts[1:]:
+            if header.split(";")[0].strip().lower() == "text/html":
+                # Fetch percent-decodes the body before base64 decoding.
+                document = percent_decode(payload)
+                if _BASE64_END.search(header):
                     try:
-                        decoded = base64.b64decode(payload, validate=False)
+                        decoded = base64.b64decode(document, validate=False)
                         document = decoded.decode("utf-8", "replace")
                     except ValueError:
                         self._classify(text, 0, len(text), prefix,
@@ -687,14 +645,19 @@ class ModelBrowser:
                     # the raw payload keeps its URI classification.
                     self._classify(text, *match.span(2), prefix,
                                    BrowserContext.Uri)
-                else:
-                    document = percent_decode(payload)
                 self._classify(text, 0, match.start(2), prefix,
                                BrowserContext.Uri)
                 self.html_scan(document, prefix + (BrowserContext.Uri,))
                 return
         if TOKEN_PREFIX in text:
             self._classify(text, 0, len(text), prefix, BrowserContext.Uri)
+
+
+# The method that reads on from each group without a context, besides
+# css_punct, and returns where lexing resumes.
+_READER = {"start_tag": ModelBrowser._start_tag,
+           **dict.fromkeys(("url_dq", "url_sq", "url_bare"),
+                           ModelBrowser._css_url)}
 
 
 def analyze(document: str, registry: SinkRegistry) -> list[Finding]:

@@ -3,7 +3,8 @@
 Bundles externalize the state between rendering and analysis so that
 pre-annotated output from other producers can be ingested.  The document
 may be a single string or a list of response chunks, which are
-concatenated before analysis.
+concatenated before analysis.  ``read_json`` reads every JSON file the
+command line takes: bundles, environment files and context maps.
 """
 
 from __future__ import annotations
@@ -86,12 +87,30 @@ def _parse_taint(token: str, item) -> tuple[str, tuple[str, ...]]:
     return origin, tuple(chain)
 
 
-def read_bundle(path) -> Bundle:
+def read_json(path, error: type[Exception], name: str):
+    """Parse the JSON file at ``path``, which the messages call ``name``.
+
+    Malformed JSON raises json.JSONDecodeError and text that is not
+    UTF-8 UnicodeDecodeError.  Nesting deeper than the recursion limit
+    and an integer of more digits than int() converts (4,300 by
+    default), which json reports as RecursionError and ValueError,
+    raise ``error``.
+    """
     with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise BundleError(f"bundle is not valid JSON: {exc}") from None
-        except RecursionError:
-            raise BundleError("bundle JSON is nested too deeply") from None
+        text = handle.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:  # a ValueError that callers report
+        raise
+    except RecursionError:
+        raise error(f"{name} JSON is nested too deeply") from None
+    except ValueError as exc:
+        raise error(f"{name} JSON cannot be read: {exc}") from None
+
+
+def read_bundle(path) -> Bundle:
+    try:
+        data = read_json(path, BundleError, "bundle")
+    except json.JSONDecodeError as exc:
+        raise BundleError(f"bundle is not valid JSON: {exc}") from None
     return load_bundle(data)

@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 
 from .annotations import UnknownResidue, strip_annotations
 from .browser import MissingToken, analyze
-from .bundle import Bundle, BundleError, dump_bundle, read_bundle
+from .bundle import Bundle, BundleError, dump_bundle, read_bundle, read_json
 from .contexts import format_sequence, sequence_names
 from .taint import TrackingMode
 from .template import TemplateSyntaxError, parse_template, render
@@ -56,12 +56,7 @@ def _read_text(path: str) -> str:
 
 
 def _read_env(path: str) -> dict:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except RecursionError:
-            raise BundleError(
-                "environment file JSON is nested too deeply") from None
+    data = read_json(path, BundleError, "environment file")
     if not isinstance(data, dict):
         raise BundleError("environment file must hold an object")
     return data

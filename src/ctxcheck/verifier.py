@@ -16,12 +16,12 @@ no concatenation product is built, and no recursion limit bounds a chain.
 from __future__ import annotations
 
 import enum
-import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from .annotations import SinkId, SinkRegistry
+from .bundle import read_json
 from .contexts import BrowserContext, ContextSequence, Finding, sequence_from_names
 from .sanitizers import HTML_ESCAPE_ID, JS_ESCAPE_ID, SAFE_ID, URL_ENCODE_ID
 from .taint import SanitizerChain, SanitizerId, SourceId
@@ -120,12 +120,7 @@ def validate_context_map(cmap: ContextMap) -> ContextMap:
 
 def load_context_map(path) -> ContextMap:
     """Load a map from a JSON file: sanitizer id -> list of name lists."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except RecursionError:
-            raise ContextMapError(
-                "context map JSON is nested too deeply") from None
+    data = read_json(path, ContextMapError, "context map")
     if not isinstance(data, dict):
         raise ContextMapError("context map file must hold an object")
     cmap: ContextMap = {}

@@ -571,11 +571,17 @@ class ReferenceBrowser:
         match = _DATA_URI_RE.match(text)
         if match:
             header, payload = match.group(1), match.group(2)
+            # Fetch's data: URL processor: the body is base64 only when
+            # the MIME type ends with ";", spaces and "base64", and it
+            # is percent-decoded first.
+            _, semicolon, last = header.rpartition(";")
+            last = last.rstrip(" \t\n\r\f").lstrip(" ")
             parts = [p.strip().lower() for p in header.split(";")]
             if parts[0] == "text/html":
-                if "base64" in parts[1:]:
+                if semicolon and last.lower() == "base64":
                     try:
-                        decoded = base64.b64decode(payload, validate=False)
+                        decoded = base64.b64decode(percent_decode(payload),
+                                                   validate=False)
                         document = decoded.decode("utf-8", "replace")
                     except ValueError:
                         self._classify(text, prefix, BrowserContext.Uri)

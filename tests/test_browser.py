@@ -24,11 +24,11 @@ def _registry_with_token(seed=0):
     return registry, token
 
 
-def _scan(kind, text, registry, prefix=(), **kwargs):
+def _scan(kind, text, registry, prefix=()):
     """Findings of one ModelBrowser scanner run on its own; kind "js"
     runs js_scan."""
     browser = ModelBrowser(registry)
-    getattr(browser, f"{kind}_scan")(text, prefix, **kwargs)
+    getattr(browser, f"{kind}_scan")(text, prefix)
     return browser.findings
 
 
@@ -207,6 +207,15 @@ def test_tokens_revealed_only_by_decoding_are_found():
             (f'<style>{rule}a{{background:url("\\78 {rest}")}}</style>',
              (C.HtmlStyleData, C.Uri)),
         ]
+    # As in Fetch, a data: body is base64 only when ";base64" ends the
+    # MIME type, and it is percent-decoded before base64 decoding.
+    cases += [
+        ('<iframe src="data:text/html;base64;charset=utf-8,'
+         f'<script>var s=%27%78{rest}%27</script>">',
+         (C.HtmlAttrDq, C.Uri, C.HtmlScriptData, C.JsStringSq)),
+        (f'<iframe src="data:text/html;base64,%{ord(encoded[0]):02X}'
+         f'{encoded[1:]}">', (C.HtmlAttrDq, C.Uri, C.HtmlText)),
+    ]
     for document, expected in cases:
         assert "xtnt" not in document
         findings = analyze(document, registry)
@@ -232,12 +241,16 @@ def test_uri_scan_positions():
         (C.Uri, C.JsStringSq)
     assert _scan("uri", f"data:text/html,<i>{token}</i>", registry)[0].context == \
         (C.Uri, C.HtmlText)
+    # ";base64" must end the MIME type, after spaces only
+    for header in ("text/html;base64;charset=utf-8", "text/html;\tbase64"):
+        findings = _scan("uri", f"data:{header},<i>{token}</i>", registry)
+        assert findings[0].context == (C.Uri, C.HtmlText), header
 
 
-def test_uri_scan_script_src_is_terminal():
+def test_script_src_is_terminal():
     registry, token = _registry_with_token()
-    findings = _scan("uri", f"javascript:{token}()", registry, script_src=True)
-    assert findings[0].context == (C.UriScriptSrc,)
+    findings = _scan("html", f'<script src="javascript:{token}()">', registry)
+    assert findings[0].context == (C.HtmlAttrDq, C.UriScriptSrc)
 
 
 def test_token_literally_inside_base64_payload_stays_uri():
@@ -276,6 +289,13 @@ def test_depth_equals_scan_invocations_on_single_token_paths():
         browser.html_scan(doc.replace("@T@", token), ())
         assert browser.scan_count == depth
         assert len(browser.findings[0].context) == depth
+    # A script source is one terminal scan; the script's empty body is
+    # one more, which finds no token.
+    registry, token = _registry_with_token()
+    browser = ModelBrowser(registry)
+    browser.html_scan(f'<script src="{token}">', ())
+    assert browser.scan_count == 3
+    assert len(browser.findings[0].context) == 2
 
 
 def _nested_data_doc(token: str, depth: int) -> str:
@@ -411,8 +431,10 @@ FRAGMENTS = (
     "&amp;", "&colon;", "&#x3a;", "ONCLICK=", "HREF=", "Src=", "data=",
     "data-x=", " x=y", 'style="a:url(/b)"', "style='u:url(\"a\")'",
     "<scripts>", ' x="v',
-    # schemes, encodings, whitespace
+    # schemes, encodings (in the last header, "base64" does not end the
+    # MIME type), whitespace
     "javascript:", "data:text/html,", "data:text/html;base64,", "aGk=",
+    "data:text/html;base64;x,",
     "&quot;", "&#39;", "%27", "%22", "\n", "\t", " ", "a",
     # registered tokens, and an unregistered one
     *_REFERENCE_TOKENS, SinkRegistry(seed=99).new_token(),
@@ -424,10 +446,10 @@ FRAGMENTS = (
 
 
 @settings(max_examples=600, deadline=None)
-@given(st.lists(st.sampled_from(FRAGMENTS), min_size=20, max_size=60), st.booleans(),
+@given(st.lists(st.sampled_from(FRAGMENTS), min_size=20, max_size=60),
        st.one_of(st.integers(min_value=1, max_value=64),
                  st.integers(min_value=256, max_value=4096)))
-def test_scanners_match_the_reference_browser(pieces, script_src, span):
+def test_scanners_match_the_reference_browser(pieces, span):
     """Each scan entry point gives the findings of ReferenceBrowser, the
     hand-written scanners the lexer tables replaced, and scans no more
     often: the reference scans every value and url() payload that the
@@ -441,13 +463,12 @@ def test_scanners_match_the_reference_browser(pieces, script_src, span):
     reference with it.
     """
     text = "".join(pieces)
-    for kind, kwargs in (("html", {}), ("js", {}), ("css", {}),
-                         ("uri", {"script_src": script_src})):
+    for kind in ("html", "js", "css", "uri"):
         browser = ModelBrowser(_REFERENCE_REGISTRY)
         reference = ReferenceBrowser(_REFERENCE_REGISTRY)
         with mock.patch.object(browser_module, "_STRIDE_SPAN", span):
-            getattr(browser, f"{kind}_scan")(text, (), **kwargs)
-        getattr(reference, f"{kind}_scan")(text, (), **kwargs)
+            getattr(browser, f"{kind}_scan")(text, ())
+        getattr(reference, f"{kind}_scan")(text, ())
         assert browser.findings == reference.findings, kind
         assert browser.scan_count <= reference.scan_count, kind
 

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctxcheck.annotations import strip_annotations
+from ctxcheck.annotations import SinkRegistry, strip_annotations
 from ctxcheck.browser import analyze
 from ctxcheck.cli import _report_json, main
 from ctxcheck.contexts import BrowserContext, Finding, sequence_names
@@ -446,16 +450,19 @@ def test_exit_code_two_on_input_that_is_not_utf8(tmp_path, capsys):
 
 
 def test_exit_code_two_on_deeply_nested_json(tmp_path, capsys):
-    # json.load raises RecursionError on deep nesting; it used to end in
-    # a traceback and exit code 1, the "flaw found" code.
-    nested = tmp_path / "nested.json"
-    nested.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    # json.load raises RecursionError on deep nesting, and ValueError on
+    # an integer of more than 4,300 digits; each used to end in a
+    # traceback and exit code 1, the "flaw found" code.
     template, env = _write_case(tmp_path, FLAWED_SCRIPT_STRING)
-    for argv in (["analyze", str(nested)],
-                 ["check", template, str(nested)],
-                 ["check", template, env, "--context-map", str(nested)]):
-        assert main(argv) == 2, argv
-        assert capsys.readouterr().err.startswith("error: "), argv
+    for name, text in (("nested.json", "[" * 200_000 + "]" * 200_000),
+                       ("long.json", '{"a": ' + "9" * 5000 + "}")):
+        hostile = tmp_path / name
+        hostile.write_text(text, encoding="utf-8")
+        for argv in (["analyze", str(hostile)],
+                     ["check", template, str(hostile)],
+                     ["check", template, env, "--context-map", str(hostile)]):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err.startswith("error: "), argv
 
 
 def test_report_counts_match_verdict_recount(tmp_path, capsys):
@@ -534,3 +541,83 @@ def test_exit_code_two_on_a_lone_surrogate_in_the_output(tmp_path, capsys):
     assert main(["analyze", str(in_sink), "--format", "json"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert {v["sink"] for v in report["verdicts"]} == {"page:\ud800"}
+
+
+# Text of any code point, lone surrogates included, which JSON input
+# may escape, and often of a surrogate or a character markup reads.
+_ANY_TEXT = st.text(st.characters(exclude_categories=())
+                    | st.sampled_from("\ud800<>&'\"\\"), max_size=8)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _ANY_TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_ANY_TEXT, inner, max_size=3),
+    max_leaves=12)
+_FUZZ_TOKENS = tuple(SinkRegistry(seed=6).new_token() for _ in range(3))
+# The sanitizer ids the default map knows, and one it does not.
+_SANITIZER_IDS = st.sampled_from(
+    ("html_escape", "js_escape", "url_encode", "safe", "unknown"))
+_DOCUMENT_PIECES = st.sampled_from((
+    *_FUZZ_TOKENS, "<script>var s='", "';</script>", "<style>a{b:",
+    "}</style>", '<a href="', "javascript:", "data:text/html,", '">',
+    "<a onclick=", "<!--", "-->", "&amp;", "%27", "url(", ")", "<p>", " "))
+_NAMES = st.text(min_size=1, max_size=6)
+_ENTRIES = st.fixed_dictionaries({"sink": _NAMES, "taints": st.lists(
+    st.fixed_dictionaries({"origin": _NAMES,
+                           "chain": st.lists(_SANITIZER_IDS, max_size=3)}),
+    min_size=1, max_size=2)})
+
+
+@st.composite
+def _bundles(draw):
+    """A bundle whose registry holds the tokens its document holds, each
+    with a well-formed or an arbitrary entry, and maybe one more key."""
+    pieces = draw(st.lists(_DOCUMENT_PIECES | _ANY_TEXT, max_size=12))
+    registry = draw(st.fixed_dictionaries(
+        {piece: _ENTRIES | _JSON_VALUES
+         for piece in pieces if piece in _FUZZ_TOKENS},
+        optional={draw(_ANY_TEXT): _ENTRIES}))
+    document = draw(st.sampled_from(("".join(pieces), pieces)))
+    return {"document": document, "registry": registry}
+
+
+_BUNDLES = _bundles() | _JSON_VALUES
+_ENVS = _JSON_VALUES | st.fixed_dictionaries(
+    {"a": _JSON_VALUES, "b": _JSON_VALUES | st.fixed_dictionaries(
+        {"c": _JSON_VALUES})})
+_CONTEXT_NAMES = st.sampled_from([c.value for c in BrowserContext]) | _ANY_TEXT
+_MAPS = _JSON_VALUES | st.dictionaries(
+    _SANITIZER_IDS | _ANY_TEXT,
+    st.lists(st.lists(_CONTEXT_NAMES, max_size=3), max_size=3), max_size=4)
+_FUZZ_TEMPLATE = ('<a href="{{a|urlencode}}" onclick="f(\'{{b|escapejs}}\')">'
+                  "{{a}}</a><style>p{x:{{b.c}}}</style><script>{{b.c|safe}}"
+                  "</script>")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_BUNDLES, _ENVS, _MAPS, st.booleans(), st.sampled_from(("json", "text")))
+def test_any_json_input_exits_zero_one_or_two(bundle, env, cmap, use_map, fmt):
+    """Whatever JSON the bundle, environment and context map files hold,
+    every subcommand returns 0, 1 or 2 and raises nothing.  Output goes
+    to UTF-8 text streams with the error handlers of a UTF-8 terminal:
+    strict for standard output, backslashreplace for standard error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, data in (("bundle", bundle), ("env", env), ("map", cmap),
+                           ("template", None)):
+            paths[name] = os.path.join(tmp, name)
+            with open(paths[name], "w", encoding="utf-8") as handle:
+                handle.write(_FUZZ_TEMPLATE if name == "template"
+                             else json.dumps(data))
+        options = ["--format", fmt, "--clean-out", os.path.join(tmp, "clean")]
+        if use_map:
+            options += ["--context-map", paths["map"]]
+        for argv in (["analyze", paths["bundle"], *options],
+                     ["contexts", paths["bundle"]],
+                     ["check", paths["template"], paths["env"], *options],
+                     ["render", paths["template"], paths["env"],
+                      "--out", os.path.join(tmp, "out")]):
+            out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+            err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8",
+                                   errors="backslashreplace")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert main(argv) in (0, 1, 2), argv
