@@ -24,14 +24,22 @@ that end a run in its inertness rule.  The HTML table and stride and
 is lexer data as well: its ``css_punct`` group matches ":", ";", "{"
 and "}" in ``_CSS``, the table outside a declaration value, and only
 ";{}" in ``_CSS_IN_VALUE``, so a ":" in a value stays value text, and
-``_NEXT`` gives the table and default context that follow each.  A
-``url()`` payload is handed to the URI scanner only when it holds the
-token prefix, a ``\\`` or a ``:``: without a backslash CSS unescaping
-changes nothing, and without a colon no ``javascript:`` or ``data:``
-scheme can match, so the URI scanner would only look for the prefix.
+``_NEXT`` gives the table and default context that follow each.  After
+the last token prefix that state decides nothing, so CSS is lexed on
+with the constructs alone (``_CSS_TAIL``).  A ``url()`` payload is
+handed to the URI scanner only when it holds the token prefix, a
+``\\`` or a ``:``: without a backslash CSS unescaping changes nothing,
+and without a colon no ``javascript:`` or ``data:`` scheme can match,
+so the URI scanner would only look for the prefix.  The URI scanner
+reads a scheme as the URL parser does, after removing tabs and newlines
+and skipping leading controls and spaces.
 
 The loop carries the position of the next token prefix, so a token-free
-range costs an integer comparison, not a classification; tag names,
+range costs an integer comparison, not a classification.  Script and
+style text is lexed in place, as a window of the page, and the HTML
+level hands its next prefix position on, so each raw-text byte is
+searched for the prefix once; a script without a prefix is not lexed
+at all, and a style without one is read by the constructs only.  Tag names,
 attribute names, plain attribute values and plain URIs are classified
 only when they hold the prefix.  In a script, the code and closed
 strings and comments before each prefix; in a style, the plain text and
@@ -74,13 +82,18 @@ from .decoders import css_unescape, entity_decode, percent_decode
 MAX_NESTING = 64
 
 _WS = r" \t\n\r\f"
-_JS_URI_RE = re.compile(r"\s*javascript:(.*)\Z", re.I | re.S)
-_DATA_URI_RE = re.compile(r"\s*data:([^,]*),(.*)\Z", re.I | re.S)
+# As the URL parser reads a URL, ASCII tab and newline are removed from
+# all of it (_TAB_OR_NEWLINE) and C0 controls and spaces from its start,
+# before its scheme is read; other leading whitespace is skipped too.
+_TAB_OR_NEWLINE = dict.fromkeys(map(ord, "\t\n\r"))
+_JS_URI_RE = re.compile(r"[\x00-\x20]*\s*javascript:(.*)\Z", re.I | re.S)
+_DATA_URI_RE = re.compile(r"[\x00-\x20]*\s*data:([^,]*),(.*)\Z", re.I | re.S)
 # As Fetch's data: URL processor reads it, a body is base64 only when
 # the MIME type ends with ";", spaces and "base64" in any ASCII case,
 # before trailing ASCII whitespace.
 _BASE64_END = re.compile(r";[ ]*base64[ \t\n\r\f]*\Z", re.I | re.A)
 _EXCERPT_MARGIN = 40
+_PREFIX_LENGTH = len(TOKEN_PREFIX)
 
 
 def _quoted(quote: str, group: str | None, newline_ends: bool) -> str:
@@ -257,11 +270,13 @@ def _css_constructs(closed: bool) -> list[str]:
     ]
 
 
-def _css_text(punct: bool) -> str:
+def _css_text(punct: bool, repeat: str = "*") -> str:
     """Plain CSS text, where no construct starts; with ``punct``, it may
-    hold the declaration punctuation ":;{}"."""
+    hold the declaration punctuation ":;{}".  With ``repeat`` "*+" it
+    never gives text back."""
     other = r"[^/\"'uU]" if punct else r"[^/\"'uU:;{}]"
-    return rf"{other}*(?:(?:/(?!\*)|(?!(?i:url)\()[uU]){other}*)*"
+    return (rf"{other}{repeat}(?:(?:/(?!\*)|(?!(?i:url)\()[uU])"
+            rf"{other}{repeat}){repeat}")
 
 
 def _css_table(punct: str) -> re.Pattern:
@@ -285,6 +300,13 @@ _NEXT = {":": (_CSS_IN_VALUE, BrowserContext.CssDeclValue),
 _CSS_STRIDE = re.compile(
     rf"(?:(?P<plain>{_css_text(punct=True)}[:;{{}}])?{_css_text(punct=False)}"
     rf"(?:{'|'.join(_css_constructs(closed=True))}))*+")
+# Once no token prefix is left, nothing is classified and the url()
+# hand-off does not depend on the declaration state, so lexing goes on
+# with the constructs alone, and a stride that keeps no "plain" group
+# and gives nothing back: the table and stride _lex switches to.
+_CSS_TAIL = (re.compile("|".join(_css_constructs(closed=False))),
+             re.compile(rf"(?:{_css_text(punct=True, repeat='*+')}"
+                        rf"(?:{'|'.join(_css_constructs(closed=True))}))*+"))
 # A url() payload that could hold a token: css_unescape changes only
 # text with a backslash, and uri_scan looks for more than the prefix
 # only after a scheme's ":".
@@ -352,6 +374,9 @@ _INERT_TAG = (
 _HTML_STRIDE = re.compile(
     rf"(?:[^<]*<(?:{_INERT_TAG}|/[^>]*>|!--{_COMMENT_BODY}-->"
     r"|(?!!--)[!?][^>]*>|(?=[^!?/a-zA-Z])))*+")
+# Decoding can reveal a token in markup without its prefix, so HTML is
+# lexed to its end with the same table and stride.
+_HTML_TAIL = (_HTML, _HTML_STRIDE)
 
 _CONTEXT = {
     "html_comment": BrowserContext.HtmlComment,
@@ -417,44 +442,50 @@ class ModelBrowser:
                 tuple.__new__(Finding, (token, prefix + (ctx,), excerpt)))
 
     def _lex(self, text: str, prefix: ContextSequence, table: re.Pattern,
-             default: BrowserContext, stride: re.Pattern,
-             to_end: bool = False) -> None:
-        """Classify ``text`` with a lexer table, starting from ``table``.
+             default: BrowserContext, stride: re.Pattern, pos: int, end: int,
+             nxt: int, tail: tuple[re.Pattern, re.Pattern] | None) -> None:
+        """Classify ``text[pos:end]`` with a lexer table, from ``table``.
 
         Text between matches gets ``default`` and each match's group
-        text the group's context.  ``nxt``, the first token prefix at or
-        after ``pos`` (the end of the text if none), guards each range;
-        a prefix that straddles a range's end costs a classification
-        that finds nothing.  A group without a context is read by its
-        reader (``_READER``), except ``css_punct``, whose character
-        picks the table and default that follow (``_NEXT``).  Lexing
-        stops once no prefix is left, unless ``to_end``.  Each step
-        whose ``nxt`` (or end) is far enough ahead, and that
-        ``_next_stride`` lets stride, first strides as far as it can
-        before it, up to ``_STRIDE_SPAN`` characters, with ``stride``, a
-        pattern that ends only where a table match ends; a stride's
-        "plain" group, which only CSS's has, ends at its last
-        punctuation.
+        text the group's context.  ``nxt``, the first token prefix that
+        lies wholly in the window at or after ``pos`` (``end`` if none),
+        guards each range; a prefix that straddles a range's end costs a
+        classification that finds nothing.  A group without a context is
+        read by its reader (``_READER``), which is handed ``nxt``, except
+        ``css_punct``, whose character picks the table and default that
+        follow (``_NEXT``).  Once no prefix is left, lexing stops if
+        ``tail`` is None and otherwise goes on to ``end`` with the table
+        and stride in ``tail``.  Each step whose ``nxt`` (or end) is far
+        enough ahead, and that ``_next_stride`` lets stride, first
+        strides as far as it can before it, up to ``_STRIDE_SPAN``
+        characters, with ``stride``, a pattern that ends only where a
+        table match ends; a stride's "plain" group, which only CSS's
+        has before its tail, ends at its last punctuation.
+
+        Every search, find and stride is bounded by ``end``, so a window
+        of a text lexes as its copy would.  That holds because no lexer
+        pattern uses "^", ``\\A``, ``\\b``, ``\\B`` or a lookbehind,
+        which would look outside the window.
         """
-        pos = 0
-        end = len(text)
-        if (nxt := text.find(TOKEN_PREFIX)) < 0:
-            nxt = end
         short = _STRIDE_SPAN >> 8
         retry, gap = 0, short + 1
-        while to_end or nxt < end:
+        while True:
+            if nxt == end:
+                if tail is None:
+                    return
+                table, stride = tail
             if nxt - pos > short and pos >= retry:
                 strode = stride.match(text, pos, min(nxt, pos + _STRIDE_SPAN))
                 if strode.lastgroup is not None:
                     table, default = _NEXT[text[strode.end("plain") - 1]]
                 retry, gap = _next_stride(pos, strode.end(), gap)
                 pos = strode.end()
-            if (match := table.search(text, pos)) is None:
+            if (match := table.search(text, pos, end)) is None:
                 break
             start = match.start()
             if nxt < start:
                 self._classify(text, pos, start, prefix, default)
-                if (nxt := text.find(TOKEN_PREFIX, start)) < 0:
+                if (nxt := text.find(TOKEN_PREFIX, start, end)) < 0:
                     nxt = end
             group = match.lastgroup
             if (ctx := _CONTEXT.get(group)) is not None:
@@ -466,8 +497,8 @@ class ModelBrowser:
                 table, default = _NEXT[text[start]]
                 pos = match.end()
             else:
-                pos = _READER[group](self, text, match, prefix)
-            if nxt < pos and (nxt := text.find(TOKEN_PREFIX, pos)) < 0:
+                pos = _READER[group](self, text, match, prefix, nxt)
+            if nxt < pos and (nxt := text.find(TOKEN_PREFIX, pos, end)) < 0:
                 nxt = end
         if nxt < end:
             self._classify(text, pos, end, prefix, default)
@@ -487,11 +518,14 @@ class ModelBrowser:
         if len(prefix) >= MAX_NESTING:
             self._classify(text, 0, len(text), prefix, BrowserContext.Unknown)
             return
+        end = len(text)
+        if (nxt := text.find(TOKEN_PREFIX)) < 0:
+            nxt = end
         self._lex(text, prefix, _HTML, BrowserContext.HtmlText, _HTML_STRIDE,
-                  to_end=True)
+                  0, end, nxt, _HTML_TAIL)
 
     def _start_tag(self, text: str, tag_match: re.Match,
-                   prefix: ContextSequence) -> int:
+                   prefix: ContextSequence, nxt: int) -> int:
         """Read attributes and raw text; return where lexing resumes.
 
         The lower-cased attribute name picks a kind, and the tag name a
@@ -499,7 +533,10 @@ class ModelBrowser:
         to its kind's scanner, or classified if it has none, unless
         ``_INERT_VALUE`` shows that it hands nothing on, the test
         _HTML_STRIDE makes, so ``scan_count`` does not depend on which
-        of them reads a tag.
+        of them reads a tag.  Raw text is handed to its scanner in place,
+        as a window of ``text``, with ``nxt``, the HTML level's first
+        token prefix at or after the tag, which the scanner searches for
+        again only if it lies before the window.
         """
         tag = tag_match["start_tag"]
         if TOKEN_PREFIX in tag:
@@ -554,47 +591,71 @@ class ModelBrowser:
         close = _RAW_TEXT_END[tag].search(text, start)
         end = len(text) if close is None else close.start()
         scanner, ctx = _ELEMENTS[tag]
-        getattr(self, scanner)(text[start:end], prefix + (ctx,))
+        getattr(self, scanner)(text, prefix + (ctx,), start, end, nxt)
         return end
 
     # -- JavaScript --------------------------------------------------------
 
-    def js_scan(self, text: str, prefix: ContextSequence = ()) -> None:
+    def js_scan(self, text: str, prefix: ContextSequence = (),
+                start: int = 0, end: int | None = None, nxt: int = -1) -> None:
         """Lex far enough to tell code, strings and comments apart.
 
-        Nothing in a script is decoded or handed on, so lexing stops
-        once it has passed the last token prefix (a script without one
-        is not lexed at all), and the code and closed constructs before
-        each prefix are one stride.
+        Scans ``text[start:end]`` in place (all of it by default).
+        ``nxt``, if at or after ``start``, is the first token prefix at
+        or after it, which lies past the window (or straddles its end)
+        if the window holds none; otherwise the window is searched for
+        one.  Nothing in a script is decoded or handed on, so lexing
+        stops once it has passed the last token prefix (a script
+        without one is not lexed at all), and the code and closed
+        constructs before each prefix are one stride.
         """
         self.scan_count += 1
-        if TOKEN_PREFIX in text:
-            self._lex(text, tuple(prefix), _JS, BrowserContext.JsCode, _JS_STRIDE)
+        if end is None:
+            # A whole text is most often a short token-free value, which
+            # a membership test turns away faster than a bounded find.
+            if TOKEN_PREFIX not in text:
+                return
+            end = len(text)
+        if nxt < start:
+            nxt = text.find(TOKEN_PREFIX, start, end)
+        if 0 <= nxt <= end - _PREFIX_LENGTH:
+            self._lex(text, tuple(prefix), _JS, BrowserContext.JsCode,
+                      _JS_STRIDE, start, end, nxt, None)
 
     # -- CSS ----------------------------------------------------------------
 
-    def css_scan(self, text: str, prefix: ContextSequence = ()) -> None:
+    def css_scan(self, text: str, prefix: ContextSequence = (),
+                 start: int = 0, end: int | None = None, nxt: int = -1) -> None:
         """Lex a declaration list or stylesheet fragment to its end.
 
-        Tokens in declaration values, strings and comments get their own
-        contexts; selector and property-name positions are Unknown.
-        Lexing starts outside a declaration value, with ``_CSS``, and
-        runs to the end, since a url() payload may still need handing on
-        once no prefix is left.
+        Scans ``text[start:end]`` in place, and takes ``nxt``, as
+        ``js_scan`` does.  Tokens in declaration values, strings and
+        comments get their own contexts; selector and property-name
+        positions are Unknown.  Lexing starts outside a declaration
+        value, with ``_CSS``, and runs to the end, since a url() payload
+        may still need handing on once no prefix is left; from there on
+        it reads only the constructs (``_CSS_TAIL``).
         """
         self.scan_count += 1
+        if end is None:
+            end = len(text)
+        if nxt < start:
+            nxt = text.find(TOKEN_PREFIX, start, end)
+        if not 0 <= nxt <= end - _PREFIX_LENGTH:
+            nxt = end
         self._lex(text, tuple(prefix), _CSS, BrowserContext.Unknown,
-                  _CSS_STRIDE, to_end=True)
+                  _CSS_STRIDE, start, end, nxt, _CSS_TAIL)
 
     def _css_url(self, text: str, match: re.Match,
-                 prefix: ContextSequence) -> int:
+                 prefix: ContextSequence, nxt: int) -> int:
         """Read a url(); return where lexing resumes.
 
         A payload that holds the token prefix, a "\\" or a ":" is
         unescaped and handed to the URI scanner; any other could reveal
         no token.  The text between a closing quote and ")" is not part
-        of the URL and is Unknown; a bare payload runs up to ")", so its
-        tail is empty.
+        of the URL and is Unknown, classified only if ``nxt``, the next
+        token prefix, lies before its end; a bare payload runs up to
+        ")", so its tail is empty.
         """
         group = match.lastgroup
         lo, hi = match.span(group)
@@ -605,7 +666,7 @@ class ModelBrowser:
             self.uri_scan(css_unescape(payload), prefix)
         pos = match.end()
         tail_end = pos - 1 if text.endswith(")", hi + 1, pos) else pos
-        if hi + 1 < tail_end:
+        if nxt < tail_end and hi + 1 < tail_end:
             self._classify(text, hi + 1, tail_end, prefix,
                            BrowserContext.Unknown)
         return pos
@@ -615,18 +676,23 @@ class ModelBrowser:
     def uri_scan(self, text: str, prefix: ContextSequence = ()) -> None:
         """Match a URI against the schemes worth recursing into.
 
-        javascript: bodies are percent-decoded and lexed as JavaScript;
-        data:text/html payloads are decoded and parsed as HTML.
-        Everything else is a plain URI.
+        The scheme is read as the URL parser reads it, with tabs and
+        newlines removed and leading controls and spaces skipped, and
+        the preprocessed body is handed on: javascript: bodies are
+        percent-decoded and lexed as JavaScript; data:text/html payloads
+        are decoded and parsed as HTML.  Everything else is a plain URI,
+        classified as written.
         """
         self.scan_count += 1
         prefix = tuple(prefix)
-        match = _JS_URI_RE.match(text)
+        # Tabs and newlines are not printable.
+        url = text if text.isprintable() else text.translate(_TAB_OR_NEWLINE)
+        match = _JS_URI_RE.match(url)
         if match:
             body = percent_decode(match.group(1))
             self.js_scan(body, prefix + (BrowserContext.Uri,))
             return
-        match = _DATA_URI_RE.match(text)
+        match = _DATA_URI_RE.match(url)
         if match:
             header, payload = match.group(1), match.group(2)
             if header.split(";")[0].strip().lower() == "text/html":
@@ -635,17 +701,20 @@ class ModelBrowser:
                 if _BASE64_END.search(header):
                     try:
                         decoded = base64.b64decode(document, validate=False)
-                        document = decoded.decode("utf-8", "replace")
                     except ValueError:
-                        self._classify(text, 0, len(text), prefix,
+                        self._classify(url, 0, len(url), prefix,
                                        BrowserContext.Uri)
                         return
                     # Base64 decoding is destructive: a token sitting
                     # literally in the payload would vanish with it, so
-                    # the raw payload keeps its URI classification.
-                    self._classify(text, *match.span(2), prefix,
+                    # the payload keeps its URI classification.  It is
+                    # classified percent-decoded, which spells every
+                    # token the raw payload does, and those that only
+                    # percent-decoding reveals.
+                    self._classify(document, 0, len(document), prefix,
                                    BrowserContext.Uri)
-                self._classify(text, 0, match.start(2), prefix,
+                    document = decoded.decode("utf-8", "replace")
+                self._classify(url, 0, match.start(2), prefix,
                                BrowserContext.Uri)
                 self.html_scan(document, prefix + (BrowserContext.Uri,))
                 return
@@ -654,7 +723,8 @@ class ModelBrowser:
 
 
 # The method that reads on from each group without a context, besides
-# css_punct, and returns where lexing resumes.
+# css_punct, from the loop's next token prefix position, and returns
+# where lexing resumes.
 _READER = {"start_tag": ModelBrowser._start_tag,
            **dict.fromkeys(("url_dq", "url_sq", "url_bare"),
                            ModelBrowser._css_url)}

@@ -147,6 +147,22 @@ SCRIPT_SRC_URI = TemplateCase(
     focal_pattern="HtmlInUri",
 )
 
+# The URL parser removes the tab, so the link is a javascript: URL and
+# the value lands in a JavaScript string that urlencode does not guard.
+TAB_IN_SCHEME = TemplateCase(
+    name="tab-in-javascript-scheme",
+    template=("<a href=\"java&#x09;script:show('{{ item.slug | urlencode }}')\">"
+              "{{ item.title }}</a>\n"),
+    env={"item": {"slug": "a-b", "title": "Item"}},
+    expected={
+        "template:0": (False, "HtmlInJsString",
+                       ("HtmlAttrDq", "Uri", "JsStringSq")),
+        "template:1": (True, None, ("HtmlText",)),
+    },
+    focal_sink="template:0",
+    focal_pattern="HtmlInJsString",
+)
+
 SAFE_FILTER_BODY = TemplateCase(
     name="safe-filter-body",
     template="<div>{{ content.body | safe }}</div>\n",
@@ -187,6 +203,7 @@ TEMPLATE_CASES = [
     CSS_COLOR_VALUE,
     HREF_URI,
     SCRIPT_SRC_URI,
+    TAB_IN_SCHEME,
     SAFE_FILTER_BODY,
     ALL_CORRECT_SHOP,
 ]
@@ -279,6 +296,8 @@ SNIPPETS = [
     SnippetCase("script-src", '<script src="@T@"></script>',
                 ("HtmlAttrDq", "UriScriptSrc")),
     SnippetCase("javascript-uri-string", "<a href=\"javascript:alert('@T@')\">",
+                ("HtmlAttrDq", "Uri", "JsStringSq")),
+    SnippetCase("javascript-uri-tab", "<a href=\"java&#x09;script:f('@T@')\">",
                 ("HtmlAttrDq", "Uri", "JsStringSq")),
     SnippetCase("javascript-uri-code", '<a href="javascript:@T@()">',
                 ("HtmlAttrDq", "Uri", "JsCode")),

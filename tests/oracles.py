@@ -563,12 +563,17 @@ class ReferenceBrowser:
         if script_src:
             self._classify(text, prefix, BrowserContext.UriScriptSrc)
             return
-        match = _JS_URI_RE.match(text)
+        # The URL parser's preprocessing: every ASCII tab and newline
+        # goes, and so do leading C0 controls and spaces.
+        url = "".join(char for char in text if char not in "\t\n\r")
+        while url and ord(url[0]) <= 0x20:
+            url = url[1:]
+        match = _JS_URI_RE.match(url)
         if match:
             body = percent_decode(match.group(1))
             self.js_scan(body, prefix + (BrowserContext.Uri,))
             return
-        match = _DATA_URI_RE.match(text)
+        match = _DATA_URI_RE.match(url)
         if match:
             header, payload = match.group(1), match.group(2)
             # Fetch's data: URL processor: the body is base64 only when
@@ -584,15 +589,17 @@ class ReferenceBrowser:
                                                    validate=False)
                         document = decoded.decode("utf-8", "replace")
                     except ValueError:
-                        self._classify(text, prefix, BrowserContext.Uri)
+                        self._classify(url, prefix, BrowserContext.Uri)
                         return
                     # Base64 decoding is destructive: a token sitting
                     # literally in the payload would vanish with it, so
-                    # the raw payload keeps its URI classification.
-                    self._classify(payload, prefix, BrowserContext.Uri)
+                    # the percent-decoded payload keeps its URI
+                    # classification.
+                    self._classify(percent_decode(payload), prefix,
+                                   BrowserContext.Uri)
                 else:
                     document = percent_decode(payload)
-                self._classify(text[:match.start(2)], prefix, BrowserContext.Uri)
+                self._classify(url[:match.start(2)], prefix, BrowserContext.Uri)
                 self.html_scan(document, prefix + (BrowserContext.Uri,))
                 return
         self._classify(text, prefix, BrowserContext.Uri)

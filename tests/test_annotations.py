@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ctxcheck.annotations import (
+    TOKEN_LENGTH,
     TOKEN_RE,
     RegistrationError,
     SinkRegistry,
@@ -132,6 +133,32 @@ def test_strip_flags_token_revealed_whatever_the_registry_order():
     assert replace_loop_strip(crafted, registry) == ""
     with pytest.raises(UnknownResidue):
         strip_annotations(crafted, registry)
+
+
+@pytest.mark.parametrize("left", range(1, TOKEN_LENGTH))
+def test_strip_flags_a_residue_split_at_every_cut(left):
+    """A token with ``left`` of its characters before the point where
+    one or two others are removed and the rest after it, alone or
+    between other removals, is kept when unregistered and raised when
+    registered: the residue check must look back the full length of a
+    token but one from each removal point."""
+    registry = SinkRegistry(seed=0)
+    first, inner, last = (registry.register(frozenset({("o", ())}), "s")
+                          for _ in range(3))
+    outer = SinkRegistry(seed=1).new_token()
+    documents = [before + outer[:left] + middle + outer[left:] + after
+                 for middle in (inner, inner + last)
+                 for before, after in (("", ""), (first, last),
+                                       (f"<p>{first}a", f"b{last}</p>"))]
+    for document in documents:
+        clean = strip_annotations(document, registry)
+        assert clean == remove_literal_occurrences(document,
+                                                   [first, inner, last])
+        assert outer in clean
+    registry.add(outer, frozenset({("o", ())}), "s")
+    for document in documents:
+        with pytest.raises(UnknownResidue, match=outer):
+            strip_annotations(document, registry)
 
 
 _REGISTERED = SinkRegistry(seed=7)

@@ -241,8 +241,9 @@ def test_uri_scan_positions():
         (C.Uri, C.JsStringSq)
     assert _scan("uri", f"data:text/html,<i>{token}</i>", registry)[0].context == \
         (C.Uri, C.HtmlText)
-    # ";base64" must end the MIME type, after spaces only
-    for header in ("text/html;base64;charset=utf-8", "text/html;\tbase64"):
+    # ";base64" must end the MIME type, after spaces only (a tab would
+    # be removed from the URL before the MIME type is read)
+    for header in ("text/html;base64;charset=utf-8", "text/html;\fbase64"):
         findings = _scan("uri", f"data:{header},<i>{token}</i>", registry)
         assert findings[0].context == (C.Uri, C.HtmlText), header
 
@@ -251,6 +252,60 @@ def test_script_src_is_terminal():
     registry, token = _registry_with_token()
     findings = _scan("html", f'<script src="javascript:{token}()">', registry)
     assert findings[0].context == (C.HtmlAttrDq, C.UriScriptSrc)
+
+
+@pytest.mark.parametrize("value", [
+    "java\tscript:f('{}')",
+    "java\nscript:f('{}')",
+    "javascript\r:f('{}')",
+    "java&Tab;script:f('{}')",
+    "javascript&NewLine;:f('{}')",
+    "\x01javascript:f('{}')",
+    "\x0e \x10javascript:f('{}')",
+], ids=["tab", "newline", "return", "tab-entity", "newline-entity",
+        "leading-control", "leading-controls-and-spaces"])
+def test_a_url_scheme_is_read_after_url_preprocessing(value):
+    # The URL parser removes every ASCII tab and newline from a URL and
+    # skips leading C0 controls and spaces before it reads the scheme,
+    # so each value is a javascript: URL, alone or where the HTML
+    # stride runs up to it.
+    registry, token = _registry_with_token()
+    padding = '<div class="c" data-x=1>&amp; x</div><br/>' * 4
+    for before in ("", padding):
+        document = f'{before}<a href="{value.format(token)}">x</a>{before}'
+        findings = analyze(document, registry)
+        assert [f.context for f in findings] == \
+            [(C.HtmlAttrDq, C.Uri, C.JsStringSq)], document
+
+
+def test_url_preprocessing_hands_on_the_preprocessed_body():
+    registry, token = _registry_with_token()
+    # A data: URL whose scheme and body hold tabs and newlines: the
+    # HTML document is the body without them.
+    findings = analyze(f'<iframe src="da\tta:text/html,<b\n>{token}</b>">',
+                       registry)
+    assert [f.context for f in findings] == [(C.HtmlAttrDq, C.Uri, C.HtmlText)]
+    assert findings[0].excerpt == token
+    # A tab between ";" and "base64" is gone before the MIME type is
+    # read, so the body is base64.
+    encoded = base64.b64encode(f"<i>{token}</i>".encode()).decode()
+    findings = _scan("uri", f"data:text/html;\tbase64,{encoded}", registry)
+    assert [f.context for f in findings] == [(C.Uri, C.HtmlText)]
+    # A plain URI is classified as written, tab and all.
+    findings = _scan("uri", f"/a?q=\t{token}", registry)
+    assert [(f.context, f.excerpt) for f in findings] == \
+        [((C.Uri,), f"/a?q=\t{token}")]
+
+
+def test_a_percent_encoded_token_in_a_base64_payload_is_found():
+    # Base64 decoding destroys the token that percent-decoding spells,
+    # so the percent-decoded payload keeps the URI classification.
+    registry, token = _registry_with_token()
+    for payload in (f"%78{token[1:]}", f"aGk%78{token[1:]}="):
+        document = f'<a href="data:text/html;base64,{payload}">'
+        findings = analyze(document, registry)
+        assert [(f.context, f.excerpt) for f in findings] == \
+            [((C.HtmlAttrDq, C.Uri), payload.replace("%78", "x"))]
 
 
 def test_token_literally_inside_base64_payload_stays_uri():
@@ -471,6 +526,35 @@ def test_scanners_match_the_reference_browser(pieces, span):
         getattr(reference, f"{kind}_scan")(text, ())
         assert browser.findings == reference.findings, kind
         assert browser.scan_count <= reference.scan_count, kind
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(FRAGMENTS), min_size=1, max_size=60),
+       st.data(), st.booleans(),
+       st.one_of(st.integers(min_value=1, max_value=64),
+                 st.integers(min_value=256, max_value=4096)))
+def test_a_window_scans_as_its_copy(pieces, data, handed, span):
+    """js_scan and css_scan read raw text in place, as a window
+    ``text[start:end]`` of the page: each gives the findings, excerpts
+    included, and the scan_count of a scan of the window's copy.  The
+    bounds fall anywhere, inside a construct or a token too.  When
+    ``handed``, the scanner gets the first token prefix at or after the
+    window's start in the whole text, as the HTML level hands it on,
+    which may lie in the window, straddle its end or lie past it."""
+    text = "".join(pieces)
+    start = data.draw(st.integers(min_value=0, max_value=len(text)))
+    end = data.draw(st.integers(min_value=start, max_value=len(text)))
+    nxt = -1
+    if handed and (nxt := text.find("xtnt", start)) < 0:
+        nxt = len(text)
+    for kind in ("js", "css"):
+        window = ModelBrowser(_REFERENCE_REGISTRY)
+        copy = ModelBrowser(_REFERENCE_REGISTRY)
+        with mock.patch.object(browser_module, "_STRIDE_SPAN", span):
+            getattr(window, f"{kind}_scan")(text, (), start, end, nxt)
+            getattr(copy, f"{kind}_scan")(text[start:end], ())
+        assert window.findings == copy.findings, kind
+        assert window.scan_count == copy.scan_count, kind
 
 
 # Script and style text like that of the benchmark's script-heavy pages;

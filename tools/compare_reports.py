@@ -11,8 +11,9 @@ tokens are the same in both trees.  Each tree runs in its own process.
 The inputs are written to a temporary directory; nothing under
 ``benchmarks/`` is changed.
 
-Prints the number of runs and the first run whose standard output,
-standard error or exit code differs between the trees.  Exits 1 if any
+Prints the number of runs and of those whose standard output, standard
+error or exit code differs between the trees, then the input and format
+of each differing run, and where the first of them differs.  Exits 1 if any
 run differs, 2 if a tree cannot be run, and 0 otherwise.
 """
 
@@ -134,13 +135,13 @@ def main(argv=None) -> int:
         except TreeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        differing, first = 0, None
+        differing, first = [], None
         with open(outs[0], encoding="utf-8") as old_lines, \
                 open(outs[1], encoding="utf-8") as new_lines:
             for (label, _), old, new in zip(runs, old_lines, new_lines):
                 if old == new:
                     continue
-                differing += 1
+                differing.append(label)
                 if first is None:
                     old, new = json.loads(old), json.loads(new)
                     field = next(i for i in range(3) if old[i] != new[i])
@@ -148,10 +149,12 @@ def main(argv=None) -> int:
                     detail = (f"{old[0]!r} != {new[0]!r}" if field == 0 else
                               first_difference(old[field], new[field]))
                     first = f"first difference: {label}\n{name}: {detail}"
-    print(f"{len(runs)} runs, {differing} differ")
+    print(f"{len(runs)} runs, {len(differing)} differ")
+    for label in differing:
+        print(f"differs: {label}")
     if first is not None:
         print(first)
-    return int(differing > 0)
+    return int(bool(differing))
 
 
 if __name__ == "__main__":
