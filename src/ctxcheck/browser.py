@@ -17,7 +17,7 @@ start tag with attributes or raw text, and the raw text after it, and
 ``_css_url`` a ``url()``.  As in Go's html/template, two tables say what
 markup hands on: ``_ELEMENTS`` gives each raw-text element the scanner
 method of its content and the context it adds, and ``_ATTRIBUTES`` each
-attribute kind (plain, event handler, style, URI; see
+attribute kind (plain, event handler, style, URI, nested document; see
 ``_ATTRIBUTE_KIND``) the scanner method of its value and the characters
 that end a run in its inertness rule.  The HTML table and stride and
 ``_start_tag``'s dispatch are built from them.  CSS's declaration state
@@ -154,10 +154,11 @@ _ELEMENTS = {"script": ("js_scan", BrowserContext.HtmlScriptData),
 # Each attribute kind: the scanner method of its decoded value (None:
 # classify it) and the characters besides "&" ending a run in _inert_value.
 _ATTRIBUTES = {"plain": (None, ""), "event": ("js_scan", ""),
-               "css": ("css_scan", "uU"), "uri": ("uri_scan", ":")}
+               "css": ("css_scan", "uU"), "uri": ("uri_scan", ":"),
+               "doc": ("html_scan", r":\\")}
 # The kind of each lower-cased attribute name that has one; any other
 # name is an event handler if it starts with "on", and plain if not.
-_ATTRIBUTE_KIND = {"style": "css", **dict.fromkeys((
+_ATTRIBUTE_KIND = {"style": "css", "srcdoc": "doc", **dict.fromkeys((
     "href src action formaction poster cite background data").split(), "uri")}
 
 # A tag name stops only at a non-name character, never giving text back.
@@ -326,12 +327,17 @@ def _inert_value(kind: str, end: str) -> str:
     in between (so no other url( starts inside it), and its payload,
     bare or quoted, holds no "\\" or ":": css_scan reads each the same
     way in the raw and the decoded value, and hands none of them on,
-    whatever CSS string or comment it lies in.
+    whatever CSS string or comment it lies in.  A nested document
+    (``srcdoc``) decodes its entities once more, so it holds no "&" at
+    all; without ":" or "\\" it has no URL scheme and no CSS escape
+    either, so nothing in it can decode to a token.
     """
     # A run of ordinary characters is one repeat, far faster to walk than
     # a repeated alternation.  Each special starts where a run ends and
     # matches one way only, so the value never gives text back.
     run = rf"[^&{_ATTRIBUTES[kind][1]}{end}]*+"
+    if kind == "doc":
+        return run
     special = [r"&(?:amp|lt|gt|quot);", r"&(?![#a-zA-Z])"]
     if kind == "css":
         special += [r"(?!(?i:url)\()[uU]", _css_url(True, "&(" + end)]

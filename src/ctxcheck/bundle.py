@@ -10,7 +10,7 @@ command line takes: bundles, environment files and context maps.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .annotations import RegistrationError, SinkRegistry
 
@@ -19,8 +19,7 @@ class BundleError(ValueError):
     """A bundle file is malformed."""
 
 
-@dataclass(frozen=True)
-class Bundle:
+class Bundle(NamedTuple):
     document: str
     registry: SinkRegistry
 

@@ -10,7 +10,9 @@ Subcommands:
 Exit codes: 0 when no insufficient sanitization was found, 1 when at
 least one was, 2 on operational errors (unparseable input, unknown
 sanitizers, tokens missing from the document or nested inside another,
-output that has no UTF-8 form).
+output that has no UTF-8 form), and 3 on an internal error, a bug in
+ctxcheck, whose traceback goes to standard error: exit 1 never means a
+crash.
 """
 
 from __future__ import annotations
@@ -263,6 +265,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
+        # The traceback as the interpreter prints an uncaught one.
+        sys.excepthook(type(exc), exc, exc.__traceback__)
+        return 3
 
 
 if __name__ == "__main__":

@@ -8,13 +8,46 @@ so every decoder leaves them untouched.
 from __future__ import annotations
 
 import html
+import html.entities
 import re
 from urllib.parse import unquote
 
 
+# One character reference, as html.unescape reads it.
+_REFERENCE = re.compile(
+    r"&(#[0-9]+;?|#[xX][0-9a-fA-F]+;?|[^\t\n\f <&#;]{1,32};?)")
+
+
+def _resolve(match: re.Match) -> str:
+    ref = match[1]
+    if ref[0] != "#":
+        # A name with its ";", or else the longest known name it starts with.
+        return html.entities.html5.get(ref) or html.unescape(match[0])
+    hexadecimal = ref[1] in "xX"
+    digits = ref[1 + hexadecimal:].rstrip(";").lstrip("0")
+    # More than seven digits are past U+10FFFF, and int() refuses more
+    # than 4,300 decimal ones.
+    code = (int(digits or "0", 16 if hexadecimal else 10)
+            if len(digits) <= 7 else 0x110000)
+    if (code == 0 or 0x80 <= code <= 0x9F or 0xD800 <= code <= 0xDFFF
+            or code > 0x10FFFF):
+        # NUL, the Windows-1252 table, surrogates and numbers past
+        # U+10FFFF, replaced as html.unescape replaces them.
+        return html.unescape(f"&#{code};")
+    return chr(code)
+
+
 def entity_decode(text: str) -> str:
-    """Resolve HTML character references (named, decimal and hex)."""
-    return html.unescape(text)
+    """Resolve HTML character references (named, decimal and hex).
+
+    As html.unescape does, except that a numeric reference to a control
+    or a noncharacter yields that character, as in the HTML tokenizer
+    (html.unescape deletes it), and that a number of any length is
+    read: one past U+10FFFF yields U+FFFD.
+    """
+    if "&" not in text:
+        return text
+    return _REFERENCE.sub(_resolve, text)
 
 
 def percent_decode(text: str) -> str:

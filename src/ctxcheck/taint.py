@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 SanitizerId = str
 SourceId = str
@@ -42,12 +42,17 @@ class TrackingMode(enum.Enum):
     NO_NUMERIC_NO_CONTAINER = "no-containers"
 
 
-@dataclass(frozen=True)
-class TaintedText:
+class TaintedText(NamedTuple):
     """An immutable character string carrying a taint record.
 
     ``safe_marked`` is an engine-facing flag that suppresses automatic
     escaping in the template engine; it never alters the record itself.
+
+    The value is a tuple of its three fields.  ``len``, indexing,
+    slicing and ``+`` act on the text; iteration, ``in``, ``*`` and
+    ordering act as a tuple's, on the fields, so use ``.text`` for them.
+    ``_make`` and ``_replace`` take ``len`` for the number of fields, so
+    build a changed value with the constructor.
     """
 
     text: str
@@ -87,8 +92,7 @@ class TaintedText:
         return frozenset(origin for origin, _ in self.taint)
 
 
-@dataclass(frozen=True)
-class TaintedNumber:
+class TaintedNumber(NamedTuple):
     """An immutable numeric value carrying a taint record."""
 
     value: int | float

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import Any, NamedTuple, Union
 
 from .annotations import SinkId, SinkRegistry, emit_to_sink
@@ -61,8 +60,7 @@ class Expansion(NamedTuple):
 Node = Union[Literal, Expansion]
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(NamedTuple):
     nodes: tuple[Node, ...]
 
     def source(self) -> str:

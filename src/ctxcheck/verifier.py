@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from .annotations import SinkId, SinkRegistry
@@ -221,8 +220,7 @@ def verify(findings: list[Finding], registry: SinkRegistry,
     return list(verdicts.values())
 
 
-@dataclass(frozen=True)
-class ReportSummary:
+class ReportSummary(NamedTuple):
     """Counts over unique sanitization triples, patterns in report order."""
 
     sanitizations: int

@@ -163,6 +163,21 @@ TAB_IN_SCHEME = TemplateCase(
     focal_pattern="HtmlInJsString",
 )
 
+# srcdoc holds a document whose entities decode once more, so the
+# escaped quote closes the script's string.
+SRCDOC_SCRIPT = TemplateCase(
+    name="srcdoc-script-string",
+    template=("<iframe srcdoc=\"<script>var s='{{ user.name }}'</script>\">"
+              "</iframe>\n"),
+    env={"user": {"name": "O'Brien"}},
+    expected={
+        "template:0": (False, "HtmlInJsString",
+                       ("HtmlAttrDq", "HtmlScriptData", "JsStringSq")),
+    },
+    focal_sink="template:0",
+    focal_pattern="HtmlInJsString",
+)
+
 SAFE_FILTER_BODY = TemplateCase(
     name="safe-filter-body",
     template="<div>{{ content.body | safe }}</div>\n",
@@ -204,6 +219,7 @@ TEMPLATE_CASES = [
     HREF_URI,
     SCRIPT_SRC_URI,
     TAB_IN_SCHEME,
+    SRCDOC_SCRIPT,
     SAFE_FILTER_BODY,
     ALL_CORRECT_SHOP,
 ]
@@ -299,6 +315,9 @@ SNIPPETS = [
                 ("HtmlAttrDq", "Uri", "JsStringSq")),
     SnippetCase("javascript-uri-tab", "<a href=\"java&#x09;script:f('@T@')\">",
                 ("HtmlAttrDq", "Uri", "JsStringSq")),
+    SnippetCase("srcdoc-script-string",
+                "<iframe srcdoc=\"<script>var s='@T@'</script>\">",
+                ("HtmlAttrDq", "HtmlScriptData", "JsStringSq")),
     SnippetCase("javascript-uri-code", '<a href="javascript:@T@()">',
                 ("HtmlAttrDq", "Uri", "JsCode")),
     SnippetCase("data-html-text", '<iframe src="data:text/html,<b>@T@</b>">',

@@ -378,6 +378,9 @@ class ReferenceBrowser:
         elif lname in URI_ATTRIBUTES:
             script_src = tag == "script" and lname == "src"
             self.uri_scan(decoded, prefix + (ctx,), script_src=script_src)
+        elif lname == "srcdoc":
+            # A nested document, whose entities decode once more.
+            self.html_scan(decoded, prefix + (ctx,))
         else:
             self._classify(decoded, prefix, ctx)
 

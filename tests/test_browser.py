@@ -187,6 +187,14 @@ def test_tokens_revealed_only_by_decoding_are_found():
          (C.HtmlAttrDq, C.Uri)),
         # a url() that css_scan reads starts inside another's payload
         (f"<b style='\"url(\" url(\"a)\\78 {rest}\")'>", (C.HtmlAttrSq, C.Uri)),
+        # srcdoc is a document whose entities decode once more, and
+        # whose URLs and styles decode as the page's do
+        (f'<iframe srcdoc="<a title=&quot;&amp;#x78;{rest}&quot;>">',
+         (C.HtmlAttrDq, C.HtmlAttrDq)),
+        (f"<iframe SRCDOC='<a href=javascript:%78{rest}>'>",
+         (C.HtmlAttrSq, C.HtmlAttrUnq, C.Uri, C.JsCode)),
+        (f'<iframe srcdoc="<b style=\'url(\\78 {rest})\'>">',
+         (C.HtmlAttrDq, C.HtmlAttrSq, C.Uri)),
     ]
     # Each tag, alone or behind and before enough inert markup for the
     # HTML stride to run, must stop it.
@@ -276,6 +284,21 @@ def test_a_url_scheme_is_read_after_url_preprocessing(value):
         findings = analyze(document, registry)
         assert [f.context for f in findings] == \
             [(C.HtmlAttrDq, C.Uri, C.JsStringSq)], document
+
+
+# As the HTML tokenizer reads it, "&#x01;" is U+0001, which
+# html.unescape would delete.
+def test_a_control_reference_in_a_scheme_makes_a_relative_url():
+    registry, token = _registry_with_token()
+    findings = analyze(f"<a href=\"java&#x01;script:f('{token}')\">x</a>",
+                       registry)
+    assert [f.context for f in findings] == [(C.HtmlAttrDq, C.Uri)]
+
+
+def test_a_control_reference_in_a_token_spells_no_token():
+    registry, token = _registry_with_token()
+    with pytest.raises(MissingToken):
+        analyze(f'<a title="xt&#x01;{token[2:]}">x</a>', registry)
 
 
 def test_url_preprocessing_hands_on_the_preprocessed_body():
@@ -465,7 +488,8 @@ _REFERENCE_TOKENS = tuple(
 FRAGMENTS = (
     # tags, quoted and unquoted attributes
     "<", ">", "</", "/>", "<p>", "<P>", "<br/>", "<p/>", "<a ", "<a href=",
-    "<div onclick=", "<b style=", "<iframe src=", "<script src=", "<script>",
+    "<div onclick=", "<b style=", "<iframe src=", "<script src=",
+    "<iframe srcdoc=", "<script>",
     "<SCRIPT>", "</script", "</script>", "<style>", "<Style >", "</style>",
     "<!", "<?", " x=", "=", '"v"', "'v'",
     # quotes, escapes, comments, raw-text ends, CSS
@@ -483,7 +507,7 @@ FRAGMENTS = (
     # unquoted value, style url()s that hand nothing on, a tag that
     # only starts like a raw text one, and a value whose quote never
     # closes
-    "&amp;", "&colon;", "&#x3a;", "ONCLICK=", "HREF=", "Src=", "data=",
+    "&amp;", "&colon;", "&#x3a;", "ONCLICK=", "HREF=", "Src=", "SrcDoc=", "data=",
     "data-x=", " x=y", 'style="a:url(/b)"', "style='u:url(\"a\")'",
     "<scripts>", ' x="v',
     # schemes, encodings (in the last header, "base64" does not end the
@@ -704,8 +728,8 @@ _QUOTE_FREE = tuple(f for f in FRAGMENTS if not {"'", '"'} & set(f))
 _TEXT = tuple(f for f in _QUOTE_FREE if "<" not in f)
 _TAG_NAMES = ("a", "b", "iframe", "script", "style", "scripts")
 _ATTRIBUTE_NAMES = ("href", "src", "data", "action", "formaction", "poster",
-                    "cite", "background", "style", "onclick", "title",
-                    "data-x", "hrefs")
+                    "cite", "background", "style", "onclick", "srcdoc",
+                    "title", "data-x", "hrefs")
 _ELEMENT_LISTS = st.lists(st.tuples(
     st.sampled_from(_TAG_NAMES),
     st.lists(st.tuples(st.sampled_from(_ATTRIBUTE_NAMES),

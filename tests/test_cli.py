@@ -9,6 +9,7 @@ import tempfile
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ctxcheck import cli as cli_module
 from ctxcheck.annotations import SinkRegistry, strip_annotations
 from ctxcheck.browser import analyze
 from ctxcheck.cli import _report_json, main
@@ -366,6 +367,23 @@ def test_exit_code_two_on_template_syntax_error(tmp_path, capsys):
 def test_exit_code_two_on_missing_file(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.json")]) == 2
     capsys.readouterr()
+
+
+def test_exit_code_three_on_an_internal_error(tmp_path, capsys, monkeypatch):
+    # A bug in ctxcheck used to end in a traceback and exit code 1, the
+    # "flaw found" code; it exits 3, with the traceback on stderr.
+    def broken(document, registry):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli_module, "analyze", broken)
+    template, env = _write_case(tmp_path, FLAWED_SCRIPT_STRING)
+    assert main(["check", template, env]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0] == "error: internal error: RuntimeError('boom')"
+    assert lines[1] == "Traceback (most recent call last):"
+    assert lines[-1] == "RuntimeError: boom"
 
 
 def test_contexts_lists_sequences(tmp_path, capsys):

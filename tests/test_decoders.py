@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import html
 import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxcheck.decoders import (
     css_unescape,
@@ -22,6 +26,45 @@ def test_entity_decode():
 
 def test_entity_decode_forgiving():
     assert entity_decode("&nosuch; &") == "&nosuch; &"
+
+
+# Code points html.unescape deletes where the HTML tokenizer keeps them.
+_KEPT = [*range(0x01, 0x09), 0x0B, *range(0x0E, 0x20), 0x7F,
+         *range(0xFDD0, 0xFDF0),
+         *(plane | low for plane in range(0, 0x110000, 0x10000)
+           for low in (0xFFFE, 0xFFFF))]
+
+
+def test_entity_decode_keeps_controls_and_noncharacters():
+    for code in _KEPT:
+        assert html.unescape("&#%d;" % code) == ""
+        for spelled in ("&#%d;", "&#x%x;", "&#X%X", "&#000%d"):
+            assert entity_decode("a" + spelled % code + ";b") in (
+                f"a{chr(code)};b", f"a{chr(code)}b"), spelled % code
+
+
+def test_entity_decode_replaces_as_html_unescape_does():
+    # NUL, surrogates, numbers past U+10FFFF and the Windows-1252 table
+    for ref, decoded in [("&#0;", "\ufffd"), ("&#xD800;", "\ufffd"),
+                         ("&#x110000;", "\ufffd"), ("&#128;", "\u20ac"),
+                         ("&#x9f;", "\u0178"), ("&#x81;", "\x81"),
+                         ("&#13;", "\r")]:
+        assert entity_decode(ref) == html.unescape(ref) == decoded, ref
+
+
+def test_entity_decode_reads_a_number_of_any_length():
+    # int() refuses more than 4,300 decimal digits; html.unescape raises.
+    assert entity_decode("&#" + "1" * 5000 + ";x") == "\ufffdx"
+    assert entity_decode("&#" + "0" * 5000 + "65;") == "A"
+    assert entity_decode("&#x" + "0" * 5000 + "41") == "A"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="&#xX;0127fFaAmpltquoNnb <\t9", max_size=24))
+def test_entity_decode_is_html_unescape_but_for_kept_code_points(text):
+    decoded = entity_decode(text)
+    if not any(chr(code) in decoded for code in _KEPT):
+        assert decoded == html.unescape(text)
 
 
 def test_percent_decode():

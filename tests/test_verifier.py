@@ -3,8 +3,11 @@ from __future__ import annotations
 import json
 import pickle
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxcheck.annotations import SinkRegistry
 from ctxcheck.contexts import BrowserContext as C
@@ -280,3 +283,59 @@ def test_load_context_map_rejects_bad_names(tmp_path):
     path.write_text(json.dumps({"x": [["NoSuchContext"]]}), encoding="utf-8")
     with pytest.raises(ContextMapError):
         load_context_map(path)
+
+
+# Sanitizer ids a map may lack, and contexts of any kind, Unknown too;
+# a map's handled sequences are only those validate_context_map allows.
+_IDS = st.sampled_from(("html_escape", "js_escape", "s0", "s1", "missing"))
+_HANDLED = st.lists(st.sampled_from(
+    [c for c in C if c not in (C.Unknown, C.UriScriptSrc)]), max_size=2)
+_MAPS = st.dictionaries(_IDS, st.frozensets(_HANDLED.map(tuple), max_size=3),
+                        max_size=4).map(validate_context_map)
+_CONTEXTS = st.lists(st.sampled_from(list(C)), max_size=4).map(tuple)
+_TAINTS = st.frozensets(st.tuples(st.sampled_from("ab"),
+                                  st.lists(_IDS, max_size=3).map(tuple)),
+                        min_size=1, max_size=3)
+
+
+@st.composite
+def _verifier_inputs(draw):
+    """A map, a registry of any taints and sinks, and findings of its
+    tokens in any contexts, a token in several or none."""
+    registry = SinkRegistry(seed=draw(st.integers(0, 2 ** 32)))
+    tokens = [registry.register(taint, draw(st.sampled_from(("p:0", "p:1"))))
+              for taint in draw(st.lists(_TAINTS, min_size=1, max_size=4))]
+    findings = [Finding(token, context, token) for token, context in draw(
+        st.lists(st.tuples(st.sampled_from(tokens), _CONTEXTS), max_size=6))]
+    return findings, registry, draw(_MAPS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_verifier_inputs())
+def test_verify_and_aggregate_hold_on_any_input(case):
+    """verify returns, or raises UnknownSanitizer for an id the map
+    lacks; a verdict names a pattern exactly when the brute-force oracle
+    finds its chain insufficient, each (triple, context) has one verdict
+    and every one has a verdict, and aggregate partitions the triples."""
+    findings, registry, cmap = case
+    pairs = {(SanitizationTriple(origin, chain, registry[f.token].sink),
+              f.context)
+             for f in findings for origin, chain in registry[f.token].taint}
+    unknown = {s for triple, _ in pairs for s in triple.chain} - set(cmap)
+    try:
+        verdicts = verify(findings, registry, cmap)
+    except UnknownSanitizer as exc:
+        assert exc.sanitizer in unknown
+        return
+    assert not unknown
+    keys = [(v.triple, v.context) for v in verdicts]
+    assert len(keys) == len(set(keys)) and set(keys) == pairs
+    for v in verdicts:
+        assert (v.pattern is None) == product_sufficient(
+            v.triple.chain, v.context, cmap)
+    summary = aggregate(verdicts)
+    assert summary.correct + summary.incorrect == summary.sanitizations
+    assert summary.sanitizations == len({triple for triple, _ in pairs})
+    flagged = {(v.triple, v.pattern) for v in verdicts if v.pattern}
+    assert summary.incorrect == len({triple for triple, _ in flagged})
+    assert summary.pattern_counts == Counter(p for _, p in flagged)
