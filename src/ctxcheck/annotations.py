@@ -46,11 +46,14 @@ class SinkRegistry:
 
     One registry per rendered document; registries are not shared across
     concurrent renders.  Pass a seed to make token generation
-    reproducible.
+    reproducible.  The generator is made by the first ``new_token``:
+    seeding it from the operating system's entropy takes about 15 µs,
+    and a registry read from a bundle never draws a token.
     """
 
     def __init__(self, seed: int | None = None):
-        self._rng = random.Random(seed)
+        self._seed = seed
+        self._rng: random.Random | None = None
         self._entries: dict[str, RegistryEntry] = {}
 
     def __len__(self) -> int:
@@ -76,6 +79,8 @@ class SinkRegistry:
         return self._entries.items()
 
     def new_token(self) -> str:
+        if self._rng is None:
+            self._rng = random.Random(self._seed)
         while True:
             token = TOKEN_PREFIX + "%032x" % self._rng.getrandbits(128)
             if token not in self._entries:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -33,6 +34,18 @@ def test_token_shape():
 
 def test_seeded_registries_produce_identical_tokens():
     assert SinkRegistry(seed=5).new_token() == SinkRegistry(seed=5).new_token()
+
+
+def test_a_registry_draws_its_tokens_from_a_generator_made_when_first_needed():
+    # Adding outside tokens makes no generator, and the tokens drawn
+    # after them are those of a generator seeded when the registry was.
+    rng = random.Random(5)
+    with mock.patch.object(random, "Random",
+                           side_effect=AssertionError("generator made")):
+        registry = SinkRegistry(seed=5)
+        registry.add("xtnt" + "0" * 32, frozenset({("o", ())}), "s")
+    drawn = [registry.new_token() for _ in range(3)]
+    assert drawn == ["xtnt%032x" % rng.getrandbits(128) for _ in range(3)]
 
 
 def test_emit_untainted_appends_text_only():

@@ -482,6 +482,77 @@ def test_raw_text_ends_only_at_an_ascii_end_tag_name(document, expected):
         assert [f.context for f in findings] == [expected]
 
 
+@pytest.mark.parametrize("markup", [
+    "<!DOCTYPE html {}>", "<!DOCTYPE html {}", "<?xml version='1.0' {}?>",
+    "<?xml {}", "</p {}", "</{}",
+], ids=["doctype", "unclosed-doctype", "xml", "unclosed-xml",
+        "unclosed-end-tag", "unclosed-end-tag-name"])
+def test_a_token_in_a_declaration_or_unclosed_end_tag_is_unknown_from_its_lt(
+        markup):
+    # These groups are classified from their "<", so a token near it
+    # has an excerpt that starts there, as the reference's does.
+    registry, token = _registry_with_token()
+    document = "<p>some text before the markup</p>" + markup.format(token)
+    reference = ReferenceBrowser(registry)
+    reference.html_scan(document, ())
+    findings = analyze(document, registry)
+    assert findings == reference.findings
+    assert [f.context for f in findings] == [(C.Unknown,)]
+    assert findings[0].excerpt.startswith(markup[:2])
+
+
+_CLASSIFY_REGISTRY = SinkRegistry(seed=6)
+_A, _B = (_CLASSIFY_REGISTRY.register(frozenset({("o", ())}), f"s{i}")
+          for i in range(2))
+_STRANGER = SinkRegistry(seed=99).new_token()
+
+
+@pytest.mark.parametrize("text, lo, hi, expected", [
+    # a token that ends exactly at the range end, and one a character
+    # longer than the range
+    (f"ab {_A} cd", 0, 39, [_A]),
+    (f"ab {_A} cd", 0, 38, []),
+    # a range that starts at a token, and one a character into it
+    (f"ab {_A} cd", 3, 42, [_A]),
+    (f"ab {_A} cd", 4, 42, []),
+    # an unregistered well-formed token directly before a registered one
+    (f"{_STRANGER}{_A}", 0, 72, [_A]),
+    # a prefix directly before a token, and a prefix that a token's
+    # hex digits break off
+    (f"xtnt{_A}", 0, 40, [_A]),
+    (f"xtnt{_A[4:20]}{_B}", 0, 56, [_B]),
+    # two registered tokens back to back, the same one twice, and a
+    # prefix left at the range end
+    (f"{_A}{_B}{_A}xtnt", 0, 112, [_A, _B, _A]),
+], ids=["ends-at-hi", "straddles-hi", "starts-at-lo", "inside-lo",
+        "after-unregistered", "after-prefix", "after-broken-token",
+        "back-to-back"])
+def test_classify_walks_the_prefixes_as_the_reference_matches_tokens(
+        text, lo, hi, expected):
+    browser = ModelBrowser(_CLASSIFY_REGISTRY)
+    reference = ReferenceBrowser(_CLASSIFY_REGISTRY)
+    browser._classify(text, lo, hi, (C.HtmlText,), C.Uri)
+    reference._classify(text[lo:hi], (C.HtmlText,), C.Uri)
+    assert browser.findings == reference.findings
+    assert [f.token for f in browser.findings] == expected
+
+
+def test_a_long_text_without_markup_finds_its_last_token():
+    # The HTML table's search skips text without "<" by its literal
+    # prefix; each scanner still finds the token at the very end.
+    registry, token = _registry_with_token()
+    text = ("plain words and no markup, " * 7500)[:200_000 - len(token)] + token
+    assert len(text) == 200_000 and "<" not in text
+    for kind in ("html", "js", "css", "uri"):
+        browser = ModelBrowser(registry)
+        reference = ReferenceBrowser(registry)
+        getattr(browser, f"{kind}_scan")(text, ())
+        getattr(reference, f"{kind}_scan")(text, ())
+        assert browser.findings == reference.findings, kind
+        assert [f.token for f in browser.findings] == [token], kind
+        assert browser.findings[0].excerpt == text[-76:], kind
+
+
 _REFERENCE_REGISTRY = SinkRegistry(seed=4)
 _REFERENCE_TOKENS = tuple(
     _REFERENCE_REGISTRY.register(frozenset({("o", ())}), f"s{i}") for i in range(2))

@@ -7,9 +7,11 @@ as a checkout's ``src``, or a checkout whose ``src`` holds it.  Every
 input that ``benchmarks/workloads.py`` generates for seeds 1 and 2 is
 run through ``ctxcheck.cli.main`` once with ``--format json`` and once
 with ``--format text``; ``check`` also gets ``--seed 0``, so that its
-tokens are the same in both trees.  Each tree runs in its own process.
-The inputs are written to a temporary directory; nothing under
-``benchmarks/`` is changed.
+tokens are the same in both trees.  So is each of ``edge_documents()``,
+markup the benchmark inputs hold none of, written as a bundle and run
+through ``analyze``.  Each tree runs in its own process.  The inputs
+are written to a temporary directory; nothing under ``benchmarks/`` is
+changed.
 
 Prints the number of runs and of those whose standard output, standard
 error or exit code differs between the trees, then the input and format
@@ -19,6 +21,7 @@ run differs, 2 if a tree cannot be run, and 0 otherwise.
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import subprocess
@@ -28,6 +31,59 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2)
 FORMATS = ("json", "text")
+# The tokens the edge documents register, each with its own chain, and
+# a well-formed one they do not.
+EDGE_CHAINS = {f"xtnt{i:032x}": chain for i, chain in enumerate(
+    (["html_escape"], ["js_escape", "html_escape"], ["url_encode"]), 1)}
+UNREGISTERED = "xtnt" + "f" * 32
+
+
+def edge_documents() -> list[str]:
+    """Markup whose lexing the benchmark inputs do not reach: declarations,
+    processing instructions, unclosed end tags, stray "<", comments,
+    tokens at the ends of lexer ranges, and javascript: and data: URLs
+    escaped with entities or percent signs.  A token is registered when
+    the document spells it whole or with its "x" escaped."""
+    a, b, c = EDGE_CHAINS
+    ea, pa = "&#x78;" + a[1:], "%78" + a[1:]
+    page = f"<p title='{pa}'>{b}</p>"
+    return [
+        # declarations and processing instructions, closed or not
+        f"<!DOCTYPE html {a}><p>{b}</p>",
+        f"<p>{a}</p><!DOCTYPE {b}",
+        f"<?xml version='1.0' {a}?><p title=\"{b}\">x</p><?{c}",
+        f"<!{a}><![CDATA[{b}]]>",
+        # end tags, closed and unclosed, with tokens in and after them
+        f"<p>{a}</p {b}>{c}</{a}",
+        f"</{a}> <p>x</ {b} y",
+        f"<script>var s = '</{a}';</script></{b}",
+        # stray "<", and a token as a tag name
+        f"a < {a} <3 <<{b} <",
+        f"<{a} x=1>{b}<{c}",
+        # comments, closed, empty, bogus and unclosed
+        f"<!-- {a} --><!---->{b}<!--->{c}--><!-- {a}",
+        f"<!--{a}--!>{b}<!- {c} ->",
+        # tokens at the ends of ranges, back to back, after a prefix and
+        # after an unregistered token
+        f"{a}<p title=\"{b}\" id={c}>{a}</p>{b}",
+        f"<p>xtnt{a}{UNREGISTERED}{b}xtnt{c}xtnt</p>",
+        f"<script>var s='{a}';//{b}\n/*{c}*/</script>",
+        f"<style>p{{color:{a}}}/*{b}*/a{{background:url({c})}}</style>",
+        f"<p title=\"{a[:30]}\">{a}</p>",
+        # escaped javascript: and data: URLs
+        f"<a href=\"&#106;avascript:f('{ea}')\">{b}</a>",
+        f"<a href=\"javascript&colon;f('{pa}')\" onclick=\"g('{ea}')\">x</a>",
+        f"<a href=\"java&#x09;script:f({b})\">x</a>"
+        f"<a href=\"%6Aavascript:{c}\">",
+        f"<a href=\"data:text/html,{page}\">x</a>",
+        f"<iframe src=\"data&colon;text/html,%3Cscript%3Evar%20s='{pa}'"
+        f"%3C/script%3E\"></iframe><!-- {b} -->",
+        "<iframe src=\"data:text/html;base64,"
+        f"{base64.b64encode(page.encode()).decode()}\"></iframe>{a}{b}{c}",
+        f"<a href=\"data:text/html,&lt;p title=&quot;{ea}&quot;&gt;\">{b}</a>",
+        # a long text without "<" ending in a token
+        "plain words and no markup, " * 400 + a,
+    ]
 
 # Runs in the child: SRC RUNS OUT.  One JSON line per run in OUT:
 # [exit code, stdout, stderr].  An exception that escapes main is
@@ -98,6 +154,17 @@ def write_runs(work: str) -> list:
                 for fmt in FORMATS:
                     runs.append((f"{label} --format {fmt}",
                                  argv + ["--format", fmt]))
+    for number, document in enumerate(edge_documents()):
+        path = os.path.join(work, f"edge-{number}.json")
+        registry = {token: {"sink": f"edge:{number}",
+                            "taints": [{"origin": "edge", "chain": chain}]}
+                    for token, chain in EDGE_CHAINS.items()
+                    if token[1:] in document}
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({"document": document, "registry": registry}, handle)
+        for fmt in FORMATS:
+            runs.append((f"edge document {number} --format {fmt}",
+                         ["analyze", path, "--format", fmt]))
     return runs
 
 
