@@ -24,15 +24,15 @@ that end a run in its inertness rule.  The HTML table and stride and
 is lexer data as well: its ``css_punct`` group matches ":", ";", "{"
 and "}" in ``_CSS``, the table outside a declaration value, and only
 ";{}" in ``_CSS_IN_VALUE``, so a ":" in a value stays value text, and
-``_NEXT`` gives the table and default context that follow each.  After
-the last token prefix that state decides nothing, so CSS is lexed on
-with the constructs alone (``_CSS_TAIL``).  A ``url()`` payload is
-handed to the URI scanner only when it holds the token prefix, a
-``\\`` or a ``:``: without a backslash CSS unescaping changes nothing,
-and without a colon no ``javascript:`` or ``data:`` scheme can match,
-so the URI scanner would only look for the prefix.  The URI scanner
-reads a scheme as the URL parser does, after removing tabs and newlines
-and skipping leading controls and spaces.
+``_NEXT`` gives the table, default context and stride that follow
+each.  After the last token prefix that state decides nothing, so CSS
+is lexed on with the constructs alone (``_CSS_TAIL``).  A ``url()``
+payload is handed to the URI scanner only when it holds the token
+prefix, a ``\\`` or a ``:``: without a backslash CSS unescaping
+changes nothing, and without a colon no ``javascript:`` or ``data:``
+scheme can match, so the URI scanner would only look for the prefix.
+The URI scanner reads a scheme as the URL parser does, after removing
+tabs and newlines and skipping leading controls and spaces.
 
 Every alternative of the HTML table opens with the same literal "<",
 outside its group, so a search skips to the next "<" by the compiled
@@ -53,11 +53,12 @@ closed comments, strings and ``url()`` that hand nothing on; and in
 markup, the text, closed comments, declarations and end tags, stray
 "<" and the start tags that open no raw text and whose attribute values
 hand nothing on (``_inert_value``), are consumed by one match, a stride,
-that ends where a table match ends; a CSS stride's last punctuation
-sets the declaration state.  Ranges too short to pay for a stride are
-not strode over, and after a stride that a live construct stopped early
-the next waits (``_next_stride``).  ``_start_tag`` hands an attribute
-value that hands nothing on to no scanner either.
+that ends where a table match ends.  A stride never gives text back and
+never changes the declaration state: outside a value, a CSS stride
+reads whole values, from ":" to the ";", "{" or "}" that ends them, and
+inside one, it stops before them.  Ranges too short to pay for a stride
+are not strode over.  ``_start_tag`` hands an attribute value that
+hands nothing on to no scanner either.
 JavaScript strings and comments are terminal, so lexing a script stops
 after its last token prefix.  HTML, CSS and URI text is walked to its
 end, because entity, percent, CSS-escape and base64 decoding can reveal
@@ -170,8 +171,10 @@ _ATTRIBUTE_KIND = {"style": "css", "srcdoc": "doc", **dict.fromkeys((
 # A tag name stops only at a non-name character, never giving text back.
 _TAG_NAME = "[a-zA-Z][a-zA-Z0-9:_-]*+"
 _RAW_TEXT = f"(?i:{'|'.join(_ELEMENTS)})"
-# A comment body runs up to the first "-->" and never gives text back.
-_COMMENT_BODY = r"[^-]*+(?:-(?!->)[^-]*+)*+"
+# As the HTML tokenizer reads comments, "<!-->" and "<!--->" are empty
+# ones, and any other runs up to the first "-->" or "--!>": so does its
+# body, which never gives text back.
+_COMMENT_BODY = r"[^-]*+(?:-(?!-!?>)[^-]*+)*+"
 # Every alternative opens with the same literal "<", outside its group,
 # so the regex compiler gives the table a one-character search prefix:
 # sre gives none to an alternation whose branches open with a group or a
@@ -180,12 +183,10 @@ _COMMENT_BODY = r"[^-]*+(?:-(?!->)[^-]*+)*+"
 # 3.11.7 on a 2-vCPU VM).  The groups in _FROM_LT therefore capture
 # after the "<" they are classified from.
 _HTML = re.compile("<(?:" + "|".join([
-    rf"!--(?P<html_comment>{_COMMENT_BODY})(?:-->)?",
+    rf"!--(?P<html_comment>(?!-?>){_COMMENT_BODY}|)(?:--!?>|-?>)?",
     r"(?P<declaration>[!?][^>]*)>?",
     r"/(?P<end_tag>[^>]*)>",
     r"(?P<unclosed_end_tag>/[\s\S]*)",
-    # A tag without attributes, unless it opens raw text.
-    rf"(?!{_RAW_TEXT}[{_WS}/=]*>)(?P<bare_tag>{_TAG_NAME})[{_WS}/=]*>",
     rf"(?P<start_tag>{_TAG_NAME})",
     # A "<" that starts no construct is character data, so its empty
     # group has nothing to classify.
@@ -218,36 +219,17 @@ _JS = re.compile("|".join(_js_constructs(closed=False)))
 # with _JS also stops.  _lex matches it only up to the next token
 # prefix, so it never enters the construct holding the prefix.  Code
 # stops only where a construct or the end is next, and nothing follows
-# the outer repeat, so neither gives text back; the outer repeats of
-# _CSS_STRIDE and _HTML_STRIDE are followed by nothing either.
+# the outer repeat, so neither gives text back; nor does any other
+# stride.
 _JS_CODE = r"[^'\"`/]*+(?:/(?![/*])[^'\"`/]*+)*+"
 _JS_STRIDE = re.compile(
     rf"(?:{_JS_CODE}(?:{'|'.join(_js_constructs(closed=True))}))*+")
-# A CSS stride's "plain" group must give text back to its last
-# punctuation, so the regex engine keeps state for each of its repeats
-# (uncapped, a stride over 1 MB of "u" held 227 MiB, tracemalloc), and
-# a CSS stride that fails backtracks over all it read.  So a stride, in
-# any language, covers at most this many characters.  A stride costs a call even when it consumes
-# nothing, so none is tried over a range of at most a 256th of this (64
-# characters): short values and scripts above all lex faster construct
-# by construct.
+# A stride covers at most this many characters, which bounds the text
+# that one stopped by a live construct reads in vain.  A stride costs a
+# call even when it consumes nothing, so none is tried over a range of
+# at most a 256th of this (64 characters): short values and scripts
+# above all lex faster construct by construct.
 _STRIDE_SPAN = 1 << 14
-
-
-def _next_stride(began: int, end: int, gap: int) -> tuple[int, int]:
-    """Where the next stride may start after one from ``began`` to
-    ``end``, and the gap to wait should that one stop as early.
-
-    A stride that covered no more than a range too short to stride over
-    (a 256th of ``_STRIDE_SPAN``) was stopped by a live construct, and
-    the next would most likely be stopped as soon: the loop walks on for
-    ``gap`` characters before it strides again, and each such stride
-    doubles the gap, up to ``_STRIDE_SPAN``.  A longer stride resets it.
-    """
-    short = _STRIDE_SPAN >> 8
-    if end - began > short:
-        return end, short + 1
-    return end + gap, min(2 * gap, _STRIDE_SPAN)
 
 
 def _css_url(closed: bool, exclude: str = "") -> str:
@@ -287,13 +269,17 @@ def _css_constructs(closed: bool) -> list[str]:
     ]
 
 
-def _css_text(punct: bool, repeat: str = "*") -> str:
-    """Plain CSS text, where no construct starts; with ``punct``, it may
-    hold the declaration punctuation ":;{}".  With ``repeat`` "*+" it
-    never gives text back."""
-    other = r"[^/\"'uU]" if punct else r"[^/\"'uU:;{}]"
-    return (rf"{other}{repeat}(?:(?:/(?!\*)|(?!(?i:url)\()[uU])"
-            rf"{other}{repeat}){repeat}")
+def _css_text(stop: str) -> str:
+    """Plain CSS text, where no construct starts, up to a character of
+    ``stop``; it never gives text back."""
+    other = rf"[^/\"'uU{stop}]*+"
+    return rf"{other}(?:(?:/(?!\*)|(?!(?i:url)\()[uU]){other})*+"
+
+
+def _css_stride(stop: str) -> str:
+    """Plain text up to a character of ``stop``, and closed, inert
+    constructs, ending after a construct, as _JS_STRIDE does."""
+    return rf"(?:{_css_text(stop)}(?:{_CSS_CLOSED}))*+"
 
 
 def _css_table(punct: str) -> re.Pattern:
@@ -302,28 +288,28 @@ def _css_table(punct: str) -> re.Pattern:
                                 rf"(?P<css_punct>[{punct}])"]))
 
 
+_CSS_CLOSED = "|".join(_css_constructs(closed=True))
 # Outside a declaration value (in selectors and property names) ":"
 # starts one; ";", "{" and "}" end it, and inside one ":" is value text.
 _CSS = _css_table(":;{}")
 _CSS_IN_VALUE = _css_table(";{}")
-# The table and default context that follow each punctuation character.
-_NEXT = {":": (_CSS_IN_VALUE, BrowserContext.CssDeclValue),
-         **dict.fromkeys(";{}", (_CSS, BrowserContext.Unknown))}
-# Plain text and closed, inert constructs, ending after a construct, as
-# _JS_STRIDE does.  Each repeat's "plain" group ends at the last
-# punctuation before its construct; the regex engine keeps the last
-# capture of a repeated group and restores it when a repeat fails, so
-# after a match the group ends at the stride's last punctuation.
+# Each state has a stride that ends where a table match ends, in the
+# state it started in: inside a value, it reads text and closed
+# constructs; outside one, text, ";{}", closed constructs and whole
+# values, from ":" to the ";{}" that ends them.
+_CSS_VALUE_STRIDE = re.compile(_css_stride(";{}"))
 _CSS_STRIDE = re.compile(
-    rf"(?:(?P<plain>{_css_text(punct=True)}[:;{{}}])?{_css_text(punct=False)}"
-    rf"(?:{'|'.join(_css_constructs(closed=True))}))*+")
+    rf"(?:{_css_text(':;{}')}(?:[;{{}}]|{_CSS_CLOSED}"
+    rf"|:{_css_stride(';{}')}{_css_text(';{}')}[;{{}}]))*+")
+# The table, default context and stride that follow each punctuation
+# character.
+_NEXT = {":": (_CSS_IN_VALUE, BrowserContext.CssDeclValue, _CSS_VALUE_STRIDE),
+         **dict.fromkeys(";{}", (_CSS, BrowserContext.Unknown, _CSS_STRIDE))}
 # Once no token prefix is left, nothing is classified and the url()
 # hand-off does not depend on the declaration state, so lexing goes on
-# with the constructs alone, and a stride that keeps no "plain" group
-# and gives nothing back: the table and stride _lex switches to.
+# with the constructs alone: the table and stride _lex switches to.
 _CSS_TAIL = (re.compile("|".join(_css_constructs(closed=False))),
-             re.compile(rf"(?:{_css_text(punct=True, repeat='*+')}"
-                        rf"(?:{'|'.join(_css_constructs(closed=True))}))*+"))
+             re.compile(_css_stride("")))
 # A url() payload that could hold a token: css_unescape changes only
 # text with a backslash, and uri_scan looks for more than the prefix
 # only after a scheme's ":".
@@ -394,7 +380,7 @@ _INERT_TAG = (
 # "<!--"), end tags, inert start tags, and a "<" that the next
 # character makes a stray one.
 _HTML_STRIDE = re.compile(
-    rf"(?:[^<]*<(?:{_INERT_TAG}|/[^>]*>|!--{_COMMENT_BODY}-->"
+    rf"(?:[^<]*<(?:{_INERT_TAG}|/[^>]*>|!--(?:-?>|{_COMMENT_BODY}--!?>)"
     r"|(?!!--)[!?][^>]*>|(?=[^!?/a-zA-Z])))*+")
 # Decoding can reveal a token in markup without its prefix, so HTML is
 # lexed to its end with the same table and stride.
@@ -405,7 +391,6 @@ _CONTEXT = {
     "declaration": BrowserContext.Unknown,
     "end_tag": BrowserContext.Unknown,
     "unclosed_end_tag": BrowserContext.Unknown,
-    "bare_tag": BrowserContext.Unknown,
     "stray_lt": BrowserContext.HtmlText,
     "attr_dq": BrowserContext.HtmlAttrDq,
     "attr_sq": BrowserContext.HtmlAttrSq,
@@ -481,15 +466,14 @@ class ModelBrowser:
         guards each range; a prefix that straddles a range's end costs a
         classification that finds nothing.  A group without a context is
         read by its reader (``_READER``), which is handed ``nxt``, except
-        ``css_punct``, whose character picks the table and default that
-        follow (``_NEXT``).  Once no prefix is left, lexing stops if
-        ``tail`` is None and otherwise goes on to ``end`` with the table
-        and stride in ``tail``.  Each step whose ``nxt`` (or end) is far
-        enough ahead, and that ``_next_stride`` lets stride, first
-        strides as far as it can before it, up to ``_STRIDE_SPAN``
-        characters, with ``stride``, a pattern that ends only where a
-        table match ends; a stride's "plain" group, which only CSS's
-        has before its tail, ends at its last punctuation.
+        ``css_punct``, whose character picks the table, default and
+        stride that follow (``_NEXT``).  Once no prefix is left,
+        lexing stops if ``tail`` is None and otherwise goes on to
+        ``end`` with the table and stride in ``tail``.  Each step whose
+        ``nxt`` (or end) is far enough ahead first strides as far as it
+        can before it, up to ``_STRIDE_SPAN`` characters, with
+        ``stride``, a pattern that ends only where a table match ends,
+        in the state the step started in.
 
         Every search, find and stride is bounded by ``end``, so a window
         of a text lexes as its copy would.  That holds because no lexer
@@ -497,18 +481,13 @@ class ModelBrowser:
         which would look outside the window.
         """
         short = _STRIDE_SPAN >> 8
-        retry, gap = 0, short + 1
         while True:
             if nxt == end:
                 if tail is None:
                     return
                 table, stride = tail
-            if nxt - pos > short and pos >= retry:
-                strode = stride.match(text, pos, min(nxt, pos + _STRIDE_SPAN))
-                if strode.lastgroup is not None:
-                    table, default = _NEXT[text[strode.end("plain") - 1]]
-                retry, gap = _next_stride(pos, strode.end(), gap)
-                pos = strode.end()
+            if nxt - pos > short:
+                pos = stride.match(text, pos, min(nxt, pos + _STRIDE_SPAN)).end()
             if (match := table.search(text, pos, end)) is None:
                 break
             start = match.start()
@@ -525,7 +504,7 @@ class ModelBrowser:
                     self._classify(text, lo, hi, prefix, ctx)
                 pos = match.end()
             elif group == "css_punct":
-                table, default = _NEXT[text[start]]
+                table, default, stride = _NEXT[text[start]]
                 pos = match.end()
             else:
                 pos = _READER[group](self, text, match, prefix, nxt)

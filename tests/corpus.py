@@ -268,6 +268,12 @@ SNIPPETS = [
     SnippetCase("text", "<p>@T@</p>", ("HtmlText",)),
     SnippetCase("bare-text", "before @T@ after", ("HtmlText",)),
     SnippetCase("comment", "<!-- @T@ -->", ("HtmlComment",)),
+    # "<!-->" and "<!--->" are empty comments, and "--!>" ends one.
+    SnippetCase("empty-comment", "<!-->@T@-->", ("HtmlText",)),
+    SnippetCase("empty-dash-comment", "<!--->@T@-->", ("HtmlText",)),
+    SnippetCase("comment-ended-by-bang",
+                "<!-- c --!><script>var s='@T@';</script>-->",
+                ("HtmlScriptData", "JsStringSq")),
     SnippetCase("attr-dq", '<div title="@T@">', ("HtmlAttrDq",)),
     SnippetCase("attr-sq", "<div title='@T@'>", ("HtmlAttrSq",)),
     SnippetCase("attr-unquoted", "<input value=@T@ />", ("HtmlAttrUnq",)),

@@ -10,7 +10,8 @@ dicts and lists that the CLI gave json.dumps before it wrote the JSON
 report as text, and the browser oracle
 the original hand-written scanners, changed only where the model was
 deliberately changed: the text between a quoted url() payload's closing
-quote and ")" is classified Unknown.  The browser oracle takes none of
+quote and ")" is classified Unknown, and comments end where the HTML
+tokenizer ends them.  The browser oracle takes none of
 the model's shortcuts: it decodes and scans every attribute value and
 every url() payload, where the model skips those that could reveal no
 token.  So its findings must equal the model's, and its scan_count may
@@ -213,6 +214,7 @@ URI_ATTRIBUTES = frozenset(
 
 _WS = " \t\n\r\f"
 _TAG_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9:_-]*")
+_COMMENT_END_RE = re.compile(r"--!?>")
 _JS_URI_RE = re.compile(r"\s*javascript:(.*)\Z", re.I | re.S)
 _DATA_URI_RE = re.compile(r"\s*data:([^,]*),(.*)\Z", re.I | re.S)
 _EXCERPT_MARGIN = 40
@@ -262,12 +264,18 @@ class ReferenceBrowser:
             if lt > i:
                 self._classify(text[i:lt], prefix, BrowserContext.HtmlText)
             if text.startswith("<!--", lt):
-                end = text.find("-->", lt + 4)
-                if end == -1:
+                # "<!-->" and "<!--->" are empty comments; any other
+                # ends at its first "-->" or "--!>".
+                if text.startswith(">", lt + 4) or text.startswith("->", lt + 4):
+                    i = text.index(">", lt + 4) + 1
+                    continue
+                close = _COMMENT_END_RE.search(text, lt + 4)
+                if close is None:
                     self._classify(text[lt + 4:], prefix, BrowserContext.HtmlComment)
                     return
-                self._classify(text[lt + 4:end], prefix, BrowserContext.HtmlComment)
-                i = end + 3
+                self._classify(text[lt + 4:close.start()], prefix,
+                               BrowserContext.HtmlComment)
+                i = close.end()
                 continue
             if text.startswith("<!", lt) or text.startswith("<?", lt):
                 # Declarations and processing instructions.

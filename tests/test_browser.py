@@ -445,8 +445,8 @@ def test_forgiving_on_malformed_markup():
 
 
 def test_attribute_free_tags_and_raw_text_tags_of_any_case():
-    # Attribute-free tags are matched by the HTML table, except those
-    # that open script or style content, whatever their case.
+    # Attribute-free tags end as tags, and those that open script or
+    # style content do so whatever their case.
     registry, token = _registry_with_token()
     for document, expected in [
         (f"<SCRIPT>var s='{token}'</SCRIPT>", (C.HtmlScriptData, C.JsStringSq)),
@@ -563,12 +563,16 @@ FRAGMENTS = (
     "<iframe srcdoc=", "<script>",
     "<SCRIPT>", "</script", "</script>", "<style>", "<Style >", "</style>",
     "<!", "<?", " x=", "=", '"v"', "'v'",
-    # quotes, escapes, comments, raw-text ends, CSS
-    '"', "'", "`", "\\", "//", "/*", "*/", "<!--", "-->", "url(", "URL(",
-    ")", ":", ";", "{", "}",
+    # quotes, escapes, comments (empty ones, and one that "--!>"
+    # ends), raw-text ends, CSS
+    '"', "'", "`", "\\", "//", "/*", "*/", "<!--", "-->", "<!-->", "<!--->",
+    "--!>", "url(", "URL(", ")", ":", ";", "{", "}",
     # closed constructs, a ":" inside a value, a division, a whole url()
     "'s'", '"s"', "`t`", "/*c*/", "//c\n", "'\\''", "a:b", "1/2", "url(x)",
     "x;", "'s''t'",
+    # declarations whose values hold ";" or "}" inside a construct, and
+    # ":" or text after one
+    "a:\"x;y\":z;", "b:url(x) 's'}", "c:/*;*/d",
     # url() payloads handed on and not, in any case, and one whose
     # quote never closes; a lone "u"
     "url(a:b)", "url(\\3a b)", 'url("a:b")', "URL(x)", "uRl( 'y' )",
@@ -709,6 +713,10 @@ _AT_SCALE = {
     "adjacent-strings": lambda rng: ["'a'"] * 20000,
     "inert-urls": lambda rng: ["url(x)"] * 20000,
     "colon-urls": lambda rng: ["url(a:b)"] * 20000,
+    # a url() handed on stops a stride in every value, whose rest, long
+    # enough to stride over, a value's stride reads
+    "live-url-values":
+        lambda rng: ["x:url(a:b) c;d/*" + "e" * 64 + "*/"] * 2000,
     "letter-u": lambda rng: ["u"] * 40000,
     "colons": lambda rng: [":"] * 40000,
     "backslash-pairs": lambda rng: ["'"] + ["\\\\"] * 20000,
@@ -791,6 +799,35 @@ def test_scanner_memory_stays_within_twice_the_input(name):
             tracemalloc.stop()
         assert [f.token for f in browser.findings] == [token], kind
         assert peak < 2 * len(text), kind
+
+
+def test_a_css_stride_reads_whole_declarations():
+    """Outside a declaration value, a CSS stride reads whole values, so
+    a declaration list without a comment, string or url() is one
+    stride."""
+    text = "a{b:c;d:e}" * 1000
+    assert browser_module._CSS_STRIDE.match(text).end() == len(text)
+
+
+@pytest.mark.parametrize("piece", ["u", "a:b;", "a/b/c/d:"])
+@pytest.mark.parametrize("name", ["_JS_STRIDE", "_CSS_STRIDE", "_CSS_VALUE_STRIDE",
+                                  "_CSS_TAIL", "_HTML_STRIDE"])
+def test_a_stride_keeps_no_state_per_character(name, piece):
+    """Every stride pattern, matched with no cap over 1 MB of one short
+    piece, holds less than 1 MiB at the peak (tracemalloc): no repeat in
+    it keeps state for each character it reads."""
+    stride = getattr(browser_module, name)
+    if name == "_CSS_TAIL":
+        stride = stride[1]
+    text = piece * (1_000_000 // len(piece))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        stride.match(text)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # Quote-free values, text that opens no tag either, and names that pick

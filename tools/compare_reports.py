@@ -41,12 +41,14 @@ UNREGISTERED = "xtnt" + "f" * 32
 def edge_documents() -> list[str]:
     """Markup whose lexing the benchmark inputs do not reach: declarations,
     processing instructions, unclosed end tags, stray "<", comments,
-    tokens at the ends of lexer ranges, and javascript: and data: URLs
-    escaped with entities or percent signs.  A token is registered when
-    the document spells it whole or with its "x" escaped."""
+    tokens at the ends of lexer ranges, declaration-dense CSS, and
+    javascript: and data: URLs escaped with entities or percent signs.
+    A token is registered when the document spells it whole or with its
+    "x" escaped."""
     a, b, c = EDGE_CHAINS
     ea, pa = "&#x78;" + a[1:], "%78" + a[1:]
     page = f"<p title='{pa}'>{b}</p>"
+    declarations = "".join(f"m{i}:'a;b:{i}' 0;" for i in range(200))
     return [
         # declarations and processing instructions, closed or not
         f"<!DOCTYPE html {a}><p>{b}</p>",
@@ -70,6 +72,10 @@ def edge_documents() -> list[str]:
         f"<script>var s='{a}';//{b}\n/*{c}*/</script>",
         f"<style>p{{color:{a}}}/*{b}*/a{{background:url({c})}}</style>",
         f"<p title=\"{a[:30]}\">{a}</p>",
+        # 200 declarations whose strings hold ";" and ":", and a token
+        # in the last value
+        f"<style>p{{{declarations}z:{a}}}</style>",
+        f"<p style=\"{declarations}z:{b}\">x</p>",
         # escaped javascript: and data: URLs
         f"<a href=\"&#106;avascript:f('{ea}')\">{b}</a>",
         f"<a href=\"javascript&colon;f('{pa}')\" onclick=\"g('{ea}')\">x</a>",
