@@ -26,13 +26,10 @@ and "}" in ``_CSS``, the table outside a declaration value, and only
 ";{}" in ``_CSS_IN_VALUE``, so a ":" in a value stays value text, and
 ``_NEXT`` gives the table, default context and stride that follow
 each.  After the last token prefix that state decides nothing, so CSS
-is lexed on with the constructs alone (``_CSS_TAIL``).  A ``url()``
-payload is handed to the URI scanner only when it holds the token
-prefix, a ``\\`` or a ``:``: without a backslash CSS unescaping
-changes nothing, and without a colon no ``javascript:`` or ``data:``
-scheme can match, so the URI scanner would only look for the prefix.
-The URI scanner reads a scheme as the URL parser does, after removing
-tabs and newlines and skipping leading controls and spaces.
+is lexed on with the constructs alone (``_CSS_TAIL``).  Every ``url()``
+payload the table reads goes to the URI scanner, which reads a scheme
+as the URL parser does, after removing tabs and newlines and skipping
+leading controls and spaces.
 
 Every alternative of the HTML table opens with the same literal "<",
 outside its group, so a search skips to the next "<" by the compiled
@@ -41,28 +38,35 @@ whose branches open with a group or a class, and tries every branch at
 every character instead.  The loop carries the position of the next
 token prefix, so a token-free range costs an integer comparison, not a
 classification, and a classification walks the range from one prefix
-to the next with ``str.find``.  Script and
-style text is lexed in place, as a window of the page, and the HTML
-level hands its next prefix position on, so each raw-text byte is
-searched for the prefix once; a script without a prefix is not lexed
-at all, and a style without one is read by the constructs only.  Tag names,
-attribute names, plain attribute values and plain URIs are classified
-only when they hold the prefix.  In a script, the code and closed
-strings and comments before each prefix; in a style, the plain text and
-closed comments, strings and ``url()`` that hand nothing on; and in
-markup, the text, closed comments, declarations and end tags, stray
-"<" and the start tags that open no raw text and whose attribute values
-hand nothing on (``_inert_value``), are consumed by one match, a stride,
-that ends where a table match ends.  A stride never gives text back and
-never changes the declaration state: outside a value, a CSS stride
-reads whole values, from ":" to the ";", "{" or "}" that ends them, and
-inside one, it stops before them.  Ranges too short to pay for a stride
-are not strode over.  ``_start_tag`` hands an attribute value that
-hands nothing on to no scanner either.
-JavaScript strings and comments are terminal, so lexing a script stops
-after its last token prefix.  HTML, CSS and URI text is walked to its
-end, because entity, percent, CSS-escape and base64 decoding can reveal
-a token that the raw text does not spell.
+to the next with ``str.find``.  Script and style text is lexed in
+place, as a window of the page, and the HTML level hands its next
+prefix position on, so each raw-text byte is searched for the prefix
+once; ``_lex`` searches the window only when that position lies before
+it.  A script without a prefix is not lexed at all, and a style
+without one is read by the constructs only.  Tag names, attribute
+names, plain attribute values and plain URIs are classified only when
+they hold the prefix.
+
+Each step first consumes, with one match, a stride, all it can of the
+text up to the next token prefix (or up to the end, once none is left)
+that hands nothing on: in a script, the code and closed strings and
+comments; in a style, the plain text and closed comments, strings and
+``url()`` whose payload holds no "\\" or ":"; and in markup, the text,
+closed comments, declarations and end tags, stray "<" and the start
+tags that open no raw text and whose attribute values hand nothing on
+(``_inert_value``).  A stride ends where a table match ends, never
+gives text back and never changes the declaration state: outside a
+value, a CSS stride reads whole values, from ":" to the ";", "{" or
+"}" that ends them, and inside one, it stops before them.  So whether
+a construct hands text on is decided once, by the stride: the table
+and its readers hand on whatever they read, except a token-free
+attribute value that holds no "&#" and whose kind watches no
+characters.  No stride is tried over a range of at most
+``_SHORT_RANGE`` characters, which lexes faster construct by
+construct.  JavaScript strings and comments are terminal, so lexing a
+script stops after its last token prefix.  HTML, CSS and URI text is
+walked to its end, because entity, percent, CSS-escape and base64
+decoding can reveal a token that the raw text does not spell.
 
 The HTML scanner is deliberately forgiving.  Regions it cannot make
 sense of (tag and attribute names, declarations, unterminated
@@ -73,6 +77,7 @@ data flow is followed inside scripts.
 from __future__ import annotations
 
 import base64
+import html.entities
 import re
 
 from .annotations import TOKEN_LENGTH, TOKEN_PREFIX, SinkRegistry
@@ -166,7 +171,20 @@ _ATTRIBUTES = {"plain": (None, ""), "event": ("js_scan", ""),
 # The kind of each lower-cased attribute name that has one; any other
 # name is an event handler if it starts with "on", and plain if not.
 _ATTRIBUTE_KIND = {"style": "css", "srcdoc": "doc", **dict.fromkeys((
-    "href src action formaction poster cite background data").split(), "uri")}
+    "href src action formaction poster cite background data xlink:href"
+    ).split(), "uri")}
+
+# A named reference written without ";" right before a token prefix,
+# if its name may go without one.  The prefix's letter keeps it as
+# written; the value that the token stands for may start with any
+# character.
+_LEGACY_BEFORE_TOKEN = re.compile(rf"&([a-zA-Z0-9]{{2,6}}?)(?={TOKEN_PREFIX})")
+
+
+def _close_reference(match: re.Match) -> str:
+    """The reference, with a ";" if its name may go without one."""
+    return match[0] + ";" if match[1] in html.entities.html5 else match[0]
+
 
 # A tag name stops only at a non-name character, never giving text back.
 _TAG_NAME = "[a-zA-Z][a-zA-Z0-9:_-]*+"
@@ -224,12 +242,10 @@ _JS = re.compile("|".join(_js_constructs(closed=False)))
 _JS_CODE = r"[^'\"`/]*+(?:/(?![/*])[^'\"`/]*+)*+"
 _JS_STRIDE = re.compile(
     rf"(?:{_JS_CODE}(?:{'|'.join(_js_constructs(closed=True))}))*+")
-# A stride covers at most this many characters, which bounds the text
-# that one stopped by a live construct reads in vain.  A stride costs a
-# call even when it consumes nothing, so none is tried over a range of
-# at most a 256th of this (64 characters): short values and scripts
-# above all lex faster construct by construct.
-_STRIDE_SPAN = 1 << 14
+# A stride costs a call even when it consumes nothing, so none is tried
+# over a range of at most this many characters: short values and
+# scripts above all lex faster construct by construct.
+_SHORT_RANGE = 64
 
 
 def _css_url(closed: bool, exclude: str = "") -> str:
@@ -310,10 +326,6 @@ _NEXT = {":": (_CSS_IN_VALUE, BrowserContext.CssDeclValue, _CSS_VALUE_STRIDE),
 # with the constructs alone: the table and stride _lex switches to.
 _CSS_TAIL = (re.compile("|".join(_css_constructs(closed=False))),
              re.compile(_css_stride("")))
-# A url() payload that could hold a token: css_unescape changes only
-# text with a backslash, and uri_scan looks for more than the prefix
-# only after a scheme's ":".
-_URL_LIVE = re.compile(rf"{TOKEN_PREFIX}|[\\:]")
 
 
 def _inert_value(kind: str, end: str) -> str:
@@ -328,11 +340,11 @@ def _inert_value(kind: str, end: str) -> str:
     scheme.  In a style, each url( is closed by ")", with no "&" or "("
     in between (so no other url( starts inside it), and its payload,
     bare or quoted, holds no "\\" or ":": css_scan reads each the same
-    way in the raw and the decoded value, and hands none of them on,
-    whatever CSS string or comment it lies in.  A nested document
-    (``srcdoc``) decodes its entities once more, so it holds no "&" at
-    all; without ":" or "\\" it has no URL scheme and no CSS escape
-    either, so nothing in it can decode to a token.
+    way in the raw and the decoded value, and none can reveal a token,
+    whether it is read as a url() or lies in a CSS string or comment.
+    A nested document (``srcdoc``) decodes its entities once more, so
+    it holds no "&" at all; without ":" or "\\" it has no URL scheme
+    and no CSS escape either, so nothing in it can decode to a token.
     """
     # A run of ordinary characters is one repeat, far faster to walk than
     # a repeated alternation.  Each special starts where a run ends and
@@ -344,12 +356,6 @@ def _inert_value(kind: str, end: str) -> str:
     if kind == "css":
         special += [r"(?!(?i:url)\()[uU]", _css_url(True, "&(" + end)]
     return rf"{run}(?:(?:{'|'.join(special)}){run})*+"
-
-
-# _start_tag's test of a token-free value that hands nothing on, by
-# kind; it reads the value _ATTR_RE gave, so no delimiter occurs in it.
-_INERT_VALUE = {kind: re.compile(_inert_value(kind, ""))
-                for kind in _ATTRIBUTES}
 
 
 def _inert_attribute(kind: str) -> str:
@@ -461,33 +467,38 @@ class ModelBrowser:
         """Classify ``text[pos:end]`` with a lexer table, from ``table``.
 
         Text between matches gets ``default`` and each match's group
-        text the group's context.  ``nxt``, the first token prefix that
-        lies wholly in the window at or after ``pos`` (``end`` if none),
-        guards each range; a prefix that straddles a range's end costs a
-        classification that finds nothing.  A group without a context is
-        read by its reader (``_READER``), which is handed ``nxt``, except
-        ``css_punct``, whose character picks the table, default and
-        stride that follow (``_NEXT``).  Once no prefix is left,
-        lexing stops if ``tail`` is None and otherwise goes on to
-        ``end`` with the table and stride in ``tail``.  Each step whose
-        ``nxt`` (or end) is far enough ahead first strides as far as it
-        can before it, up to ``_STRIDE_SPAN`` characters, with
-        ``stride``, a pattern that ends only where a table match ends,
-        in the state the step started in.
+        text the group's context.  ``nxt`` is the first token prefix at
+        or after ``pos``, as a caller that has searched for it hands it
+        on; if it lies before ``pos``, the window is searched for one.
+        A prefix past ``end``, or one that straddles it, counts as none,
+        and ``nxt`` is then ``end``.  It guards each range; a prefix
+        that straddles a range's end costs a classification that finds
+        nothing.  A group without a context is read by its reader
+        (``_READER``), which is handed ``nxt``, except ``css_punct``,
+        whose character picks the table, default and stride that follow
+        (``_NEXT``).  Once no prefix is left, lexing stops if ``tail``
+        is None and otherwise goes on to ``end`` with the table and
+        stride in ``tail``.  Each step whose ``nxt`` (or end) lies more
+        than ``_SHORT_RANGE`` characters ahead first strides as far as
+        it can before it with ``stride``, a pattern that ends only where
+        a table match ends, in the state the step started in.
 
         Every search, find and stride is bounded by ``end``, so a window
         of a text lexes as its copy would.  That holds because no lexer
         pattern uses "^", ``\\A``, ``\\b``, ``\\B`` or a lookbehind,
         which would look outside the window.
         """
-        short = _STRIDE_SPAN >> 8
+        if nxt < pos:
+            nxt = text.find(TOKEN_PREFIX, pos, end)
+        if not 0 <= nxt <= end - _PREFIX_LENGTH:
+            nxt = end
         while True:
             if nxt == end:
                 if tail is None:
                     return
                 table, stride = tail
-            if nxt - pos > short:
-                pos = stride.match(text, pos, min(nxt, pos + _STRIDE_SPAN)).end()
+            if nxt - pos > _SHORT_RANGE:
+                pos = stride.match(text, pos, nxt).end()
             if (match := table.search(text, pos, end)) is None:
                 break
             start = match.start()
@@ -528,11 +539,8 @@ class ModelBrowser:
         if len(prefix) >= MAX_NESTING:
             self._classify(text, 0, len(text), prefix, BrowserContext.Unknown)
             return
-        end = len(text)
-        if (nxt := text.find(TOKEN_PREFIX)) < 0:
-            nxt = end
         self._lex(text, prefix, _HTML, BrowserContext.HtmlText, _HTML_STRIDE,
-                  0, end, nxt, _HTML_TAIL)
+                  0, len(text), -1, _HTML_TAIL)
 
     def _start_tag(self, text: str, tag_match: re.Match,
                    prefix: ContextSequence, nxt: int) -> int:
@@ -540,13 +548,17 @@ class ModelBrowser:
 
         The lower-cased attribute name picks a kind, and the tag name a
         raw-text scanner, from the tables.  A value is decoded and handed
-        to its kind's scanner, or classified if it has none, unless
-        ``_INERT_VALUE`` shows that it hands nothing on, the test
-        _HTML_STRIDE makes, so ``scan_count`` does not depend on which
-        of them reads a tag.  Raw text is handed to its scanner in place,
-        as a window of ``text``, with ``nxt``, the HTML level's first
-        token prefix at or after the tag, which the scanner searches for
-        again only if it lies before the window.
+        to its kind's scanner, or classified if it has none, unless it
+        holds neither the token prefix nor "&#" and its kind watches no
+        characters: no named reference decodes to a letter of the
+        prefix.  ``_HTML_STRIDE`` has consumed every tag whose values all
+        hand nothing on, unless a token prefix was too close to stride.
+        A value with a named reference without ";" right before a token
+        prefix is read twice (see ``_LEGACY_BEFORE_TOKEN``).
+        Raw text is handed to its scanner in place, as a window of
+        ``text``, with ``nxt``, the HTML level's first token prefix at or
+        after the tag, which the scanner searches for again only if it
+        lies before the window.
         """
         tag = tag_match["start_tag"]
         if TOKEN_PREFIX in tag:
@@ -569,23 +581,27 @@ class ModelBrowser:
             kind = _ATTRIBUTE_KIND.get(
                 name, "event" if name.startswith("on") else "plain")
             scanner, ends = _ATTRIBUTES[kind]
-            if TOKEN_PREFIX not in value and (
-                    "&" not in value and not ends
-                    or _INERT_VALUE[kind].fullmatch(value)):
+            if TOKEN_PREFIX not in value:
+                # Only a numeric reference decodes to a letter of the
+                # prefix.
+                if not ends and "&#" not in value:
+                    continue
+            elif "&" in value and (closed := _LEGACY_BEFORE_TOKEN.sub(
+                    _close_reference, value)) != value:
+                # The page keeps a reference before a token as written,
+                # the clean page only before a value that starts with
+                # an ASCII alphanumeric or "=": the value is read both
+                # ways, the second adding findings the first did not.
+                mark = len(self.findings)
+                self._value(tag, name, scanner, value, prefix, ctx)
+                seen = {finding[:2] for finding in self.findings[mark:]}
+                mark = len(self.findings)
+                self._value(tag, name, scanner, closed, prefix, ctx)
+                self.findings[mark:] = [
+                    finding for finding in self.findings[mark:]
+                    if finding[:2] not in seen]
                 continue
-            if "&" in value:
-                value = entity_decode(value)
-            if scanner is None:
-                if TOKEN_PREFIX in value:
-                    self._classify(value, 0, len(value), prefix, ctx)
-            elif tag == "script" and name == "src":
-                # A script's source is fetched, not parsed: one terminal
-                # scan.
-                self.scan_count += 1
-                self._classify(value, 0, len(value), prefix + (ctx,),
-                               BrowserContext.UriScriptSrc)
-            else:
-                getattr(self, scanner)(value, prefix + (ctx,))
+            self._value(tag, name, scanner, value, prefix, ctx)
         if attr.lastgroup == "unclosed_value":
             # Unterminated value swallows the rest; cover the whole
             # attribute so its name is not lost either.
@@ -604,20 +620,36 @@ class ModelBrowser:
         getattr(self, scanner)(text, prefix + (ctx,), start, end, nxt)
         return end
 
+    def _value(self, tag: str, name: str, scanner: str | None, value: str,
+               prefix: ContextSequence, ctx: BrowserContext) -> None:
+        """Entity-decode an attribute value and hand it to ``scanner``,
+        or classify it if there is none."""
+        if "&" in value:
+            value = entity_decode(value)
+        if scanner is None:
+            if TOKEN_PREFIX in value:
+                self._classify(value, 0, len(value), prefix, ctx)
+        elif tag == "script" and name == "src":
+            # A script's source is fetched, not parsed: one terminal scan.
+            self.scan_count += 1
+            self._classify(value, 0, len(value), prefix + (ctx,),
+                           BrowserContext.UriScriptSrc)
+        else:
+            getattr(self, scanner)(value, prefix + (ctx,))
+
     # -- JavaScript --------------------------------------------------------
 
     def js_scan(self, text: str, prefix: ContextSequence = (),
                 start: int = 0, end: int | None = None, nxt: int = -1) -> None:
         """Lex far enough to tell code, strings and comments apart.
 
-        Scans ``text[start:end]`` in place (all of it by default).
-        ``nxt``, if at or after ``start``, is the first token prefix at
-        or after it, which lies past the window (or straddles its end)
-        if the window holds none; otherwise the window is searched for
-        one.  Nothing in a script is decoded or handed on, so lexing
-        stops once it has passed the last token prefix (a script
-        without one is not lexed at all), and the code and closed
-        constructs before each prefix are one stride.
+        Scans ``text[start:end]`` in place (all of it by default), from
+        ``nxt``, the first token prefix at or after ``start`` if the
+        caller has searched for it (see ``_lex``).  Nothing in a script
+        is decoded or handed on, so lexing stops once it has passed the
+        last token prefix (a script without one is not lexed at all),
+        and the code and closed constructs before each prefix are one
+        stride.
         """
         self.scan_count += 1
         if end is None:
@@ -626,11 +658,8 @@ class ModelBrowser:
             if TOKEN_PREFIX not in text:
                 return
             end = len(text)
-        if nxt < start:
-            nxt = text.find(TOKEN_PREFIX, start, end)
-        if 0 <= nxt <= end - _PREFIX_LENGTH:
-            self._lex(text, tuple(prefix), _JS, BrowserContext.JsCode,
-                      _JS_STRIDE, start, end, nxt, None)
+        self._lex(text, tuple(prefix), _JS, BrowserContext.JsCode,
+                  _JS_STRIDE, start, end, nxt, None)
 
     # -- CSS ----------------------------------------------------------------
 
@@ -649,10 +678,6 @@ class ModelBrowser:
         self.scan_count += 1
         if end is None:
             end = len(text)
-        if nxt < start:
-            nxt = text.find(TOKEN_PREFIX, start, end)
-        if not 0 <= nxt <= end - _PREFIX_LENGTH:
-            nxt = end
         self._lex(text, tuple(prefix), _CSS, BrowserContext.Unknown,
                   _CSS_STRIDE, start, end, nxt, _CSS_TAIL)
 
@@ -660,21 +685,20 @@ class ModelBrowser:
                  prefix: ContextSequence, nxt: int) -> int:
         """Read a url(); return where lexing resumes.
 
-        A payload that holds the token prefix, a "\\" or a ":" is
-        unescaped and handed to the URI scanner; any other could reveal
-        no token.  The text between a closing quote and ")" is not part
-        of the URL and is Unknown, classified only if ``nxt``, the next
-        token prefix, lies before its end; a bare payload runs up to
-        ")", so its tail is empty.
+        The payload is unescaped and handed to the URI scanner: a stride
+        has consumed each closed url() whose payload could reveal no
+        token, unless a token prefix was too close to stride.  The text
+        between a closing quote and ")" is not part of the URL and is
+        Unknown, classified only if ``nxt``, the next token prefix, lies
+        before its end; a bare payload runs up to ")", so its tail is
+        empty.
         """
         group = match.lastgroup
-        lo, hi = match.span(group)
-        if _URL_LIVE.search(text, lo, hi):
-            payload = match[group]
-            if group == "url_bare":
-                payload = payload.strip()
-            self.uri_scan(css_unescape(payload), prefix)
-        pos = match.end()
+        payload = match[group]
+        if group == "url_bare":
+            payload = payload.strip()
+        self.uri_scan(css_unescape(payload), prefix)
+        hi, pos = match.end(group), match.end()
         tail_end = pos - 1 if text.endswith(")", hi + 1, pos) else pos
         if nxt < tail_end and hi + 1 < tail_end:
             self._classify(text, hi + 1, tail_end, prefix,

@@ -21,8 +21,18 @@ _REFERENCE = re.compile(
 def _resolve(match: re.Match) -> str:
     ref = match[1]
     if ref[0] != "#":
-        # A name with its ";", or else the longest known name it starts with.
-        return html.entities.html5.get(ref) or html.unescape(match[0])
+        names = html.entities.html5
+        if ref in names:
+            return names[ref]
+        # The longest name it starts with, one of those that may go
+        # without ";", unless an ASCII alphanumeric or "=" follows it.
+        for end in range(len(ref) - 1, 1, -1):
+            if ref[:end] in names:
+                after = ref[end]
+                if after == "=" or after.isascii() and after.isalnum():
+                    break
+                return names[ref[:end]] + ref[end:]
+        return match[0]
     hexadecimal = ref[1] in "xX"
     digits = ref[1 + hexadecimal:].rstrip(";").lstrip("0")
     # More than seven digits are past U+10FFFF, and int() refuses more
@@ -40,10 +50,14 @@ def _resolve(match: re.Match) -> str:
 def entity_decode(text: str) -> str:
     """Resolve HTML character references (named, decimal and hex).
 
-    As html.unescape does, except that a numeric reference to a control
-    or a noncharacter yields that character, as in the HTML tokenizer
-    (html.unescape deletes it), and that a number of any length is
-    read: one past U+10FFFF yields U+FFFD.
+    As html.unescape does, except where the HTML tokenizer differs: a
+    numeric reference to a control or a noncharacter yields that
+    character (html.unescape deletes it), a number of any length is
+    read (one past U+10FFFF yields U+FFFD), and a named reference
+    without its ";" that an ASCII alphanumeric or "=" follows, such as
+    ``&quotx`` or ``&lt3``, stays as written.  The tokenizer keeps such
+    a reference only inside an attribute value; the model decodes
+    nothing else, so this rule always applies.
     """
     if "&" not in text:
         return text

@@ -136,6 +136,20 @@ HREF_URI = TemplateCase(
     focal_pattern="HtmlInUri",
 )
 
+# An SVG link navigates to its xlink:href, javascript: URLs included.
+SVG_XLINK_HREF = TemplateCase(
+    name="svg-link-xlink-href",
+    template=('<svg><a xlink:href="{{ link.url }}"><text>{{ link.title }}</text>'
+              "</a></svg>\n"),
+    env={"link": {"url": "javascript:alert(1)", "title": "Home"}},
+    expected={
+        "template:0": (False, "HtmlInUri", ("HtmlAttrDq", "Uri")),
+        "template:1": (True, None, ("HtmlText",)),
+    },
+    focal_sink="template:0",
+    focal_pattern="HtmlInUri",
+)
+
 SCRIPT_SRC_URI = TemplateCase(
     name="script-source-uri",
     template='<script src="{{ assets.tracker_js }}"></script>\n',
@@ -176,6 +190,41 @@ SRCDOC_SCRIPT = TemplateCase(
     },
     focal_sink="template:0",
     focal_pattern="HtmlInJsString",
+)
+
+# In an attribute value, "&quot" right before a letter stays as
+# written, and before anything else reads as '"'.  The token starts with
+# a letter, so the value is read both ways and lands in code and in a
+# string: here its escaped form starts with a letter, so the page puts
+# it in code, not in the string its author meant to open.
+LEGACY_REFERENCE_CODE = TemplateCase(
+    name="legacy-reference-js-code",
+    template=('<a href="javascript:f(&quot{{ v | escapejs | urlencode | escape }}'
+              '&quot)">go</a>\n'),
+    env={"v": "alert(1)"},
+    expected={
+        "template:0": [
+            (False, "HtmlInJsCode", ("HtmlAttrDq", "Uri", "JsCode")),
+            (True, None, ("HtmlAttrDq", "Uri", "JsStringDq"))],
+    },
+    focal_sink="template:0",
+    focal_pattern="HtmlInJsCode",
+)
+
+# The other way round: the escaped value starts with "%", so '&quot' before
+# it closes the string and the value lands in code.
+LEGACY_REFERENCE_CLOSES_STRING = TemplateCase(
+    name="legacy-reference-closes-string",
+    template=('<a href="javascript:f(&quot;a&quot'
+              '{{ v | escapejs | urlencode | escape }}&quot;)">go</a>\n'),
+    env={"v": "+alert(1)+"},
+    expected={
+        "template:0": [
+            (True, None, ("HtmlAttrDq", "Uri", "JsStringDq")),
+            (False, "HtmlInJsCode", ("HtmlAttrDq", "Uri", "JsCode"))],
+    },
+    focal_sink="template:0",
+    focal_pattern="HtmlInJsCode",
 )
 
 SAFE_FILTER_BODY = TemplateCase(
@@ -220,6 +269,9 @@ TEMPLATE_CASES = [
     SCRIPT_SRC_URI,
     TAB_IN_SCHEME,
     SRCDOC_SCRIPT,
+    SVG_XLINK_HREF,
+    LEGACY_REFERENCE_CODE,
+    LEGACY_REFERENCE_CLOSES_STRING,
     SAFE_FILTER_BODY,
     ALL_CORRECT_SHOP,
 ]
@@ -315,6 +367,8 @@ SNIPPETS = [
                 ("HtmlAttrDq", "Uri")),
     SnippetCase("img-src", '<img src="@T@">', ("HtmlAttrDq", "Uri")),
     SnippetCase("form-action", '<form action="@T@">', ("HtmlAttrDq", "Uri")),
+    SnippetCase("svg-xlink-href", '<svg><a xlink:href="@T@">x</a></svg>',
+                ("HtmlAttrDq", "Uri")),
     SnippetCase("script-src", '<script src="@T@"></script>',
                 ("HtmlAttrDq", "UriScriptSrc")),
     SnippetCase("javascript-uri-string", "<a href=\"javascript:alert('@T@')\">",

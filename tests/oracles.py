@@ -10,8 +10,10 @@ dicts and lists that the CLI gave json.dumps before it wrote the JSON
 report as text, and the browser oracle
 the original hand-written scanners, changed only where the model was
 deliberately changed: the text between a quoted url() payload's closing
-quote and ")" is classified Unknown, and comments end where the HTML
-tokenizer ends them.  The browser oracle takes none of
+quote and ")" is classified Unknown, comments end where the HTML
+tokenizer ends them, and an attribute value with a named reference
+without ";" right before a token is read both with that reference kept
+and decoded.  The browser oracle takes none of
 the model's shortcuts: it decodes and scans every attribute value and
 every url() payload, where the model skips those that could reveal no
 token.  So its findings must equal the model's, and its scan_count may
@@ -21,6 +23,7 @@ only exceed it.
 from __future__ import annotations
 
 import base64
+import html.entities
 import itertools
 import random
 import re
@@ -209,7 +212,8 @@ def reference_report_dict(findings, verdicts, summary,
 # compare it only on documents nested far less than MAX_NESTING deep.
 
 URI_ATTRIBUTES = frozenset(
-    {"href", "src", "action", "formaction", "poster", "cite", "background", "data"}
+    {"href", "src", "action", "formaction", "poster", "cite", "background",
+     "data", "xlink:href"}
 )
 
 _WS = " \t\n\r\f"
@@ -218,6 +222,8 @@ _COMMENT_END_RE = re.compile(r"--!?>")
 _JS_URI_RE = re.compile(r"\s*javascript:(.*)\Z", re.I | re.S)
 _DATA_URI_RE = re.compile(r"\s*data:([^,]*),(.*)\Z", re.I | re.S)
 _EXCERPT_MARGIN = 40
+# The named references that may go without ";".
+_LEGACY_NAMES = [name for name in html.entities.html5 if name[-1] != ";"]
 
 
 def _token_set(registry) -> frozenset:
@@ -377,6 +383,26 @@ class ReferenceBrowser:
             ctx = BrowserContext.HtmlAttrSq
         else:
             ctx = BrowserContext.HtmlAttrUnq
+        # A named reference without ";" right before a token is kept
+        # as written, and is decoded where the value starts with any
+        # character but an ASCII alphanumeric or "=": the value is read
+        # both ways, the second adding findings the first did not.
+        closed = value
+        for legacy in _LEGACY_NAMES:
+            closed = closed.replace(f"&{legacy}xtnt", f"&{legacy};xtnt")
+        first = len(self.findings)
+        self._decoded_attribute(tag, name, value, ctx, prefix)
+        if closed != value:
+            seen = {finding[:2] for finding in self.findings[first:]}
+            second = len(self.findings)
+            self._decoded_attribute(tag, name, closed, ctx, prefix)
+            self.findings[second:] = [finding
+                                      for finding in self.findings[second:]
+                                      if finding[:2] not in seen]
+
+    def _decoded_attribute(self, tag: str, name: str, value: str,
+                           ctx: BrowserContext,
+                           prefix: ContextSequence) -> None:
         lname = name.lower()
         decoded = entity_decode(value)
         if lname.startswith("on"):

@@ -97,6 +97,29 @@ def test_html_scan_attribute_values_are_entity_decoded():
     assert findings[0].context == (C.HtmlAttrDq, C.Uri, C.JsStringSq)
 
 
+@pytest.mark.parametrize("value, contexts", [
+    ("javascript:f(&quot;a&quot@T@&quot;)", [C.JsStringDq, C.JsCode]),
+    ("javascript:f(&quot@T@&quot)", [C.JsCode, C.JsStringDq]),
+    ("&lt@T@", [C.HtmlAttrDq]),
+    # "&not" reads as written before "in" either way
+    ("javascript:f(&quot;&notin@T@&quot;)", [C.JsStringDq]),
+])
+def test_a_reference_before_a_token_is_read_both_ways(value, contexts):
+    """A named reference without ";" right before a token stays as
+    written, before the token's letter, but the value the token stands
+    for may start with any character: the value is read with the
+    reference kept and decoded, and a context that both readings give
+    is reported once, as ReferenceBrowser reports it."""
+    registry, token = _registry_with_token()
+    name = "title" if value.startswith("&") else "href"
+    document = f'<a {name}="{value.replace("@T@", token)}">x</a>'
+    findings = _scan("html", document, registry)
+    assert [finding.context[-1] for finding in findings] == contexts
+    reference = ReferenceBrowser(registry)
+    reference.html_scan(document)
+    assert findings == reference.findings
+
+
 def test_script_content_is_not_entity_decoded():
     registry, token = _registry_with_token()
     # &quot; must not open a string inside script data.
@@ -590,6 +613,8 @@ FRAGMENTS = (
     "javascript:", "data:text/html,", "data:text/html;base64,", "aGk=",
     "data:text/html;base64;x,",
     "&quot;", "&#39;", "%27", "%22", "\n", "\t", " ", "a",
+    # references without ";", which a token's letter keeps as written
+    "&quot", "&lt", "&notin",
     # registered tokens, and an unregistered one
     *_REFERENCE_TOKENS, SinkRegistry(seed=99).new_token(),
     # a registered token that only entity, percent or CSS-escape
@@ -601,17 +626,15 @@ FRAGMENTS = (
 
 @settings(max_examples=600, deadline=None)
 @given(st.lists(st.sampled_from(FRAGMENTS), min_size=20, max_size=60),
-       st.one_of(st.integers(min_value=1, max_value=64),
-                 st.integers(min_value=256, max_value=4096)))
-def test_scanners_match_the_reference_browser(pieces, span):
+       st.integers(min_value=0, max_value=64))
+def test_scanners_match_the_reference_browser(pieces, short):
     """Each scan entry point gives the findings of ReferenceBrowser, the
     hand-written scanners the lexer tables replaced, and scans no more
     often: the reference scans every value and url() payload that the
     model skips as one that could reveal no token.  A JavaScript, CSS or
-    HTML stride may stop after any closed construct, so capping it at
-    any number of characters changes nothing.  No stride runs over a
-    range of at most a 256th of the cap, so a cap below 256 strides over
-    every range, and a larger one skips the short ones.
+    HTML stride ends only where a table match ends, so whether a range
+    is strode over changes nothing: no stride runs over a range of at
+    most ``short`` characters, and 0 strides over every range.
 
     A ROADMAP item 4 fix that changes behaviour on purpose updates the
     reference with it.
@@ -620,7 +643,7 @@ def test_scanners_match_the_reference_browser(pieces, span):
     for kind in ("html", "js", "css", "uri"):
         browser = ModelBrowser(_REFERENCE_REGISTRY)
         reference = ReferenceBrowser(_REFERENCE_REGISTRY)
-        with mock.patch.object(browser_module, "_STRIDE_SPAN", span):
+        with mock.patch.object(browser_module, "_SHORT_RANGE", short):
             getattr(browser, f"{kind}_scan")(text, ())
         getattr(reference, f"{kind}_scan")(text, ())
         assert browser.findings == reference.findings, kind
@@ -629,17 +652,16 @@ def test_scanners_match_the_reference_browser(pieces, span):
 
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.sampled_from(FRAGMENTS), min_size=1, max_size=60),
-       st.data(), st.booleans(),
-       st.one_of(st.integers(min_value=1, max_value=64),
-                 st.integers(min_value=256, max_value=4096)))
-def test_a_window_scans_as_its_copy(pieces, data, handed, span):
+       st.data(), st.booleans(), st.integers(min_value=0, max_value=64))
+def test_a_window_scans_as_its_copy(pieces, data, handed, short):
     """js_scan and css_scan read raw text in place, as a window
     ``text[start:end]`` of the page: each gives the findings, excerpts
     included, and the scan_count of a scan of the window's copy.  The
     bounds fall anywhere, inside a construct or a token too.  When
     ``handed``, the scanner gets the first token prefix at or after the
     window's start in the whole text, as the HTML level hands it on,
-    which may lie in the window, straddle its end or lie past it."""
+    which may lie in the window, straddle its end or lie past it.  No
+    stride runs over a range of at most ``short`` characters."""
     text = "".join(pieces)
     start = data.draw(st.integers(min_value=0, max_value=len(text)))
     end = data.draw(st.integers(min_value=start, max_value=len(text)))
@@ -649,7 +671,7 @@ def test_a_window_scans_as_its_copy(pieces, data, handed, span):
     for kind in ("js", "css"):
         window = ModelBrowser(_REFERENCE_REGISTRY)
         copy = ModelBrowser(_REFERENCE_REGISTRY)
-        with mock.patch.object(browser_module, "_STRIDE_SPAN", span):
+        with mock.patch.object(browser_module, "_SHORT_RANGE", short):
             getattr(window, f"{kind}_scan")(text, (), start, end, nxt)
             getattr(copy, f"{kind}_scan")(text[start:end], ())
         assert window.findings == copy.findings, kind
@@ -776,6 +798,9 @@ _LONG_CONSTRUCTS = {
         lambda token: "<!--" + "-a" * (1 << 17) + token + "-->",
     "entities-in-a-title":
         lambda token: '<a title="' + "&amp;" * 50000 + '">' + token,
+    "entities-in-a-title-beside-a-live-value":
+        lambda token: ('<a title="' + "&amp;" * 50000
+                       + '" href="javascript:f()">x</a>' + token),
     "inert-tags":
         lambda token: '<div class="c" data-x=1>x</div>' * 8000 + token,
 }
@@ -799,6 +824,20 @@ def test_scanner_memory_stays_within_twice_the_input(name):
             tracemalloc.stop()
         assert [f.token for f in browser.findings] == [token], kind
         assert peak < 2 * len(text), kind
+
+
+def test_a_stride_reads_a_long_inert_tag_whole():
+    """A stride runs up to the next token prefix, however far, so the
+    start-tag reader never reads, nor entity-decodes, a 250 KB tag whose
+    values hand nothing on."""
+    registry, token = _registry_with_token()
+    text = '<a title="' + "&amp;" * 50000 + '">' + token
+    reader = mock.Mock(wraps=ModelBrowser._start_tag)
+    browser = ModelBrowser(registry)
+    with mock.patch.dict(browser_module._READER, start_tag=reader):
+        browser.html_scan(text, ())
+    assert reader.call_count == 0
+    assert [f.context for f in browser.findings] == [(C.HtmlText,)]
 
 
 def test_a_css_stride_reads_whole_declarations():
@@ -837,7 +876,7 @@ _TEXT = tuple(f for f in _QUOTE_FREE if "<" not in f)
 _TAG_NAMES = ("a", "b", "iframe", "script", "style", "scripts")
 _ATTRIBUTE_NAMES = ("href", "src", "data", "action", "formaction", "poster",
                     "cite", "background", "style", "onclick", "srcdoc",
-                    "title", "data-x", "hrefs")
+                    "title", "data-x", "hrefs", "xlink:href")
 _ELEMENT_LISTS = st.lists(st.tuples(
     st.sampled_from(_TAG_NAMES),
     st.lists(st.tuples(st.sampled_from(_ATTRIBUTE_NAMES),
@@ -909,13 +948,11 @@ _FILLER = {
 @settings(max_examples=200, deadline=None)
 @given(_ELEMENT_LISTS,
        st.lists(st.tuples(st.integers(min_value=0, max_value=8), st.booleans(),
-                          st.integers(min_value=65,
-                                      max_value=browser_module._STRIDE_SPAN
-                                      + 1024)),
+                          st.integers(min_value=65, max_value=17408)),
                 min_size=1, max_size=3),
        st.randoms(use_true_random=False))
 def test_inert_filler_changes_no_finding(elements, insertions, rnd):
-    """Filler long enough to stride over, up to past a stride's cap,
+    """Filler long enough to stride over, up to 17,408 characters,
     inserted between elements or at the start of an element's content,
     changes no finding's token or context."""
     before, inside = {}, {}

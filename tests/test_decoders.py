@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import html
+import html.entities
 import random
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,18 @@ def test_entity_decode():
 
 def test_entity_decode_forgiving():
     assert entity_decode("&nosuch; &") == "&nosuch; &"
+
+
+def test_entity_decode_keeps_a_legacy_reference_before_alphanumerics():
+    # As the HTML tokenizer reads an attribute value: a reference
+    # without ";" stays as written before an ASCII letter, digit or "=",
+    # and is decoded before anything else.
+    for kept in ("&quotx", "&quot=", "&lt3", "&notit;", "&ampx;"):
+        assert entity_decode(kept) == kept, kept
+    assert entity_decode("&quot ") == '" '
+    assert entity_decode("&amp;x") == "&x"
+    assert entity_decode("&lt&gt") == "<>"
+    assert entity_decode("&quot\u00e9") == '"\u00e9'
 
 
 # Code points html.unescape deletes where the HTML tokenizer keeps them.
@@ -59,12 +73,30 @@ def test_entity_decode_reads_a_number_of_any_length():
     assert entity_decode("&#x" + "0" * 5000 + "41") == "A"
 
 
+# One character reference, as html.unescape reads it.
+_CHARREF = re.compile(r"&(#[0-9]+;?|#[xX][0-9a-fA-F]+;?|[^\t\n\f <&#;]{1,32};?)")
+
+
+def _unescape_in_an_attribute(match):
+    """html.unescape of one reference, unless it is a named one that is
+    no name itself, and whose longest leading name an ASCII alphanumeric
+    or "=" follows: the HTML tokenizer keeps that one as written in an
+    attribute value."""
+    ref = match[1]
+    if ref[0] != "#" and ref not in html.entities.html5:
+        names = [name for name in html.entities.html5
+                 if len(name) < len(ref) and ref.startswith(name)]
+        if names and re.match(r"[0-9A-Za-z=]", ref[len(max(names, key=len))]):
+            return match[0]
+    return html.unescape(match[0])
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.text(alphabet="&#xX;0127fFaAmpltquoNnb <\t9", max_size=24))
 def test_entity_decode_is_html_unescape_but_for_kept_code_points(text):
     decoded = entity_decode(text)
     if not any(chr(code) in decoded for code in _KEPT):
-        assert decoded == html.unescape(text)
+        assert decoded == _CHARREF.sub(_unescape_in_an_attribute, text)
 
 
 def test_percent_decode():

@@ -41,14 +41,18 @@ UNREGISTERED = "xtnt" + "f" * 32
 def edge_documents() -> list[str]:
     """Markup whose lexing the benchmark inputs do not reach: declarations,
     processing instructions, unclosed end tags, stray "<", comments,
-    tokens at the ends of lexer ranges, declaration-dense CSS, and
-    javascript: and data: URLs escaped with entities or percent signs.
+    tokens at the ends of lexer ranges, declaration-dense CSS,
+    javascript: and data: URLs escaped with entities or percent signs,
+    strides over 20,000 characters of a tag, a style value or a script,
+    url()s that hand their payloads on, an SVG link and a named
+    reference without its ";".
     A token is registered when the document spells it whole or with its
     "x" escaped."""
     a, b, c = EDGE_CHAINS
     ea, pa = "&#x78;" + a[1:], "%78" + a[1:]
     page = f"<p title='{pa}'>{b}</p>"
     declarations = "".join(f"m{i}:'a;b:{i}' 0;" for i in range(200))
+    live_urls = "p{b:url(a:b)}" * 1000
     return [
         # declarations and processing instructions, closed or not
         f"<!DOCTYPE html {a}><p>{b}</p>",
@@ -89,6 +93,19 @@ def edge_documents() -> list[str]:
         f"<a href=\"data:text/html,&lt;p title=&quot;{ea}&quot;&gt;\">{b}</a>",
         # a long text without "<" ending in a token
         "plain words and no markup, " * 400 + a,
+        # a 20,000-character tag and style value that hand nothing on,
+        # 20,000 characters of script without a construct, and a style
+        # whose url()s all hand their payloads on
+        f"<p title=\"{'&amp;' * 4000}\">{a}</p>{b}",
+        f"<b style=\"{'a:url(/i.png);' * 1430}\">{a}</b><p>{c}</p>",
+        f"<script>{'a' * 20000}f({a});</script>",
+        f"<style>{live_urls}p{{c:{b}}}{live_urls}</style>",
+        # an SVG link, and references without ";" that a letter follows
+        f"<svg><a xlink:href=\"javascript:{a}\">x</a></svg>",
+        f"<a href=\"javascript:f(&quot{b}&quot)\" title=\"&amp{c}\">x</a>",
+        f"<a href=\"javascript:f(&quot;a&quot{a}&quot;)\">x</a>",
+        # a long inert value beside a live one, so no stride takes the tag
+        f"<p title=\"{'&amp;' * 4000}\" onclick=\"f()\">{a}</p>",
     ]
 
 # Runs in the child: SRC RUNS OUT.  One JSON line per run in OUT:
