@@ -70,29 +70,34 @@ def _load_map(args) -> dict:
     return default_context_map()
 
 
-def _render_bundle(args) -> Bundle:
+def _render_bundle(args) -> tuple[Bundle, str]:
+    """The rendered bundle and the render's own clean document."""
     template = parse_template(_read_text(args.template))
     env = _read_env(args.env)
     mode = TrackingMode(args.mode)
-    document, registry = render(template, env, seed=args.seed, mode=mode)
-    return Bundle(document, registry)
+    document, registry, clean = render(template, env, seed=args.seed,
+                                       mode=mode)
+    return Bundle(document, registry), clean
 
 
 _REPORT_JSON = ('{"summary": {"sanitizations": %d, "correct": %d,'
                 ' "incorrect": %d}, "findings": [%s], "patterns": {%s},'
-                ' "verdicts": [%s], "clean_document": %s}')
+                ' "verdicts": [%s], "clean_document": ')
 _FINDING_JSON = '{"token": "%s", "context": %s, "excerpt": %s}'
 _VERDICT_JSON = ('{"token": "%s", "origin": %s, "chain": %s, "sink": %s,'
                  ' "context": %s, "sufficient": %s, "pattern": %s}')
 
 
 def _report_json(findings, verdicts: list[Verdict], summary: ReportSummary,
-                 clean_document: str) -> str:
-    """The JSON report, as the text json.dumps writes for it: one line,
-    ASCII, default separators.  Strings from input go through the C
-    encoder json.dumps uses; tokens are hex, and context and pattern
-    names identifiers.  Each distinct context sequence, chain and
-    pattern is encoded once; every verdict's context is a finding's."""
+                 clean_document: str) -> tuple[str, str, str]:
+    """The JSON report in three parts whose concatenation is the text
+    json.dumps writes for it: one line, ASCII, default separators.  The
+    encoded clean document is a part of its own, so writing the parts
+    in order never copies it into a second string.  Strings from input
+    go through the C encoder json.dumps uses; tokens are hex, and
+    context and pattern names identifiers.  Each distinct context
+    sequence, chain and pattern is encoded once; every verdict's
+    context is a finding's."""
     quote = encode_basestring_ascii
     contexts = {ctx: "[%s]" % ", ".join(map(quote, sequence_names(ctx)))
                 for ctx in {f.context for f in findings}}
@@ -110,8 +115,7 @@ def _report_json(findings, verdicts: list[Verdict], summary: ReportSummary,
                                     quote(sink), contexts[context],
                                     *outcomes[pattern])
                    for token, (origin, chain, sink), context, pattern
-                   in verdicts]),
-        quote(clean_document))
+                   in verdicts])), quote(clean_document), "}"
 
 
 def _report_text(verdicts: list[Verdict], summary: ReportSummary) -> str:
@@ -140,12 +144,16 @@ def _report_text(verdicts: list[Verdict], summary: ReportSummary) -> str:
     return "\n".join(lines)
 
 
-def _analyze_bundle(bundle: Bundle, args) -> int:
+def _analyze_bundle(bundle: Bundle, args, clean: str | None = None) -> int:
+    """Analyze, verify and report.  ``clean`` is the render's own clean
+    document; a bundle read from a file carries none, so its tokens are
+    stripped."""
     cmap = _load_map(args)
     findings = analyze(bundle.document, bundle.registry)
     verdicts = verify(findings, bundle.registry, cmap)
     summary = aggregate(verdicts)
-    clean = strip_annotations(bundle.document, bundle.registry)
+    if clean is None:
+        clean = strip_annotations(bundle.document, bundle.registry)
     if args.clean_out:
         # JSON input can hold a lone surrogate, which has no UTF-8 form;
         # encoding first raises before the file is touched.
@@ -153,14 +161,16 @@ def _analyze_bundle(bundle: Bundle, args) -> int:
         with open(args.clean_out, "wb") as handle:
             handle.write(data)
     if args.format == "json":
-        print(_report_json(findings, verdicts, summary, clean))
+        # Every part is built before the first write, so an error
+        # leaves standard output empty.
+        print(*_report_json(findings, verdicts, summary, clean), sep="")
     else:
         print(_report_text(verdicts, summary))
     return 1 if summary.incorrect else 0
 
 
 def cmd_render(args) -> int:
-    bundle = _render_bundle(args)
+    bundle, _ = _render_bundle(args)
     payload = json.dumps(dump_bundle(bundle.document, bundle.registry), indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -175,7 +185,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_check(args) -> int:
-    return _analyze_bundle(_render_bundle(args), args)
+    bundle, clean = _render_bundle(args)
+    return _analyze_bundle(bundle, args, clean)
 
 
 def cmd_contexts(args) -> int:

@@ -140,17 +140,19 @@ def resolve_path(env: Environment, path, *,
 
 def render(template: Template, env: Environment, *,
            seed: int | None = None,
-           mode: TrackingMode = TrackingMode.FULL,
-           annotate: bool = True) -> tuple[str, SinkRegistry]:
+           mode: TrackingMode = TrackingMode.FULL
+           ) -> tuple[str, SinkRegistry, str]:
     """Expand a template against an environment.
 
     Filters run in written order; if none of them marked the value safe,
-    the HTML escape runs last as the autoescape.  With ``annotate`` off
-    the output skips annotation tokens entirely, which is the reference
-    for stripping them later.
+    the HTML escape runs last as the autoescape.  Returns the annotated
+    document, its registry and the clean document: the same expansion
+    with no annotation token, built in the same pass, so a value that
+    spells a token keeps it.
     """
     registry = SinkRegistry(seed=seed)
     out: list[str] = []
+    clean: list[str] = []
     # (path, filters) -> the escaped value.  Values are immutable, so
     # each distinct expansion is resolved and filtered once per call;
     # every sink still gets its own token and registry entry.
@@ -158,6 +160,7 @@ def render(template: Template, env: Environment, *,
     for node in template.nodes:
         if isinstance(node, Literal):
             out.append(node.text)
+            clean.append(node.text)
             continue
         key = (node.path, node.filters)
         value = values.get(key)
@@ -168,8 +171,6 @@ def render(template: Template, env: Environment, *,
             if not value.safe_marked:
                 value = html_escape(value)
             values[key] = value
-        if annotate:
-            emit_to_sink(value, node.site, out, registry)
-        else:
-            out.append(value.text)
-    return "".join(out), registry
+        emit_to_sink(value, node.site, out, registry)
+        clean.append(value.text)
+    return "".join(out), registry, "".join(clean)

@@ -28,8 +28,7 @@ import itertools
 import random
 import re
 
-from ctxcheck.annotations import (TOKEN_RE, SinkRegistry, UnknownResidue,
-                                  emit_to_sink)
+from ctxcheck.annotations import TOKEN_RE, SinkRegistry, UnknownResidue
 from ctxcheck.contexts import (BrowserContext, ContextSequence, Finding,
                                sequence_names)
 from ctxcheck.decoders import css_unescape, entity_decode, percent_decode
@@ -138,27 +137,28 @@ def remove_literal_occurrences(document: str, tokens) -> str:
     return "".join(kept)
 
 
-def reference_render(template, env, *, seed=None,
-                     mode=TrackingMode.FULL, annotate=True):
+def reference_render(template, env, *, seed=None, mode=TrackingMode.FULL):
     """Reference template expansion: every expansion node resolves,
     filters and escapes its own value, with nothing shared between
-    nodes that repeat an expansion."""
+    nodes that repeat an expansion.  Returns the annotated document,
+    its registry and the clean document, each built on its own."""
     registry = SinkRegistry(seed=seed)
-    out = []
+    document = clean = ""
     for node in template.nodes:
         if isinstance(node, Literal):
-            out.append(node.text)
+            document += node.text
+            clean += node.text
             continue
         value = resolve_path(env, node.path, mode=mode)
         for name in node.filters:
             value = FILTERS[name](value)
         if not value.safe_marked:
             value = html_escape(value)
-        if annotate:
-            emit_to_sink(value, node.site, out, registry)
-        else:
-            out.append(value.text)
-    return "".join(out), registry
+        if value.taint:
+            document += registry.register(value.taint, node.site)
+        document += value.text
+        clean += value.text
+    return document, registry, clean
 
 
 def reference_report_dict(findings, verdicts, summary,

@@ -63,7 +63,7 @@ def _run_check(tmp_path, capsys, case):
 
 
 def _case_verdicts(case, seed=0):
-    document, registry = render_case(case, seed=seed)
+    document, registry, _ = render_case(case, seed=seed)
     findings = analyze(document, registry)
     return verify(findings, registry, CMAP)
 
@@ -169,8 +169,7 @@ def test_criterion_4_taint_algebra_properties():
 def test_criterion_5_annotation_round_trip_and_decoder_fixed_point():
     documents = 0
     for case in TEMPLATE_CASES:
-        annotated, registry = render_case(case, seed=11)
-        plain, _ = render_case(case, seed=11, annotate=False)
+        annotated, registry, plain = render_case(case, seed=11)
         assert strip_annotations(annotated, registry) == plain, case.name
         documents += 1
     for snippet in SNIPPETS:
@@ -236,7 +235,7 @@ def test_criterion_7_tracking_mode_behavior():
 def test_criterion_8_chunk_equivalence():
     rng = random.Random(13)
     for case in TEMPLATE_CASES:
-        document, registry = render_case(case, seed=7)
+        document, registry, _ = render_case(case, seed=7)
         base_findings = analyze(document, registry)
         base_verdicts = verify(base_findings, registry, CMAP)
         cuts = {rng.randint(0, len(document)) for _ in range(10)}

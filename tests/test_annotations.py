@@ -221,8 +221,7 @@ def test_strip_at_scale_equals_unannotated_render():
             '<script>var s = "{{v.s|escapejs}}";</script>\n')
     template = parse_template(rows * 5000)
     env = {"v": {"q": "a&b c", "t": 'x"y<z>', "s": "it's"}}
-    document, registry = render(template, env, seed=3)
-    plain, _ = render(template, env, seed=3, annotate=False)
+    document, registry, plain = render(template, env, seed=3)
     assert len(registry) == 20000
     assert strip_annotations(document, registry) == plain
 

@@ -12,7 +12,7 @@ from ctxcheck.template import parse_template, render
 
 def _rendered():
     template = parse_template('<a href="{{u}}">{{u}}</a>')
-    return render(template, {"u": "https://example.com/x"}, seed=3)
+    return render(template, {"u": "https://example.com/x"}, seed=3)[:2]
 
 
 def test_dump_load_round_trip():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctxcheck import cli as cli_module
-from ctxcheck.annotations import SinkRegistry, strip_annotations
+from ctxcheck.annotations import SinkRegistry
 from ctxcheck.browser import analyze
 from ctxcheck.cli import _report_json, main
 from ctxcheck.contexts import BrowserContext, Finding, sequence_names
@@ -112,15 +112,29 @@ def test_check_clean_fixture_exits_zero(tmp_path, capsys):
 
 
 def test_render_then_analyze_matches_check(tmp_path, capsys):
-    template, env = _write_case(tmp_path, FLAWED_SCRIPT_STRING)
+    # check takes its clean document from the render and analyze strips
+    # the bundle's tokens: both paths print the same bytes and write the
+    # same --clean-out file.
     bundle_path = tmp_path / "bundle.json"
-    assert main(["render", template, env, "--out", str(bundle_path)]) == 0
-    capsys.readouterr()
-    code = main(["analyze", str(bundle_path), "--format", "json"])
-    analyzed = json.loads(capsys.readouterr().out)
-    check_code, checked = _check(tmp_path, capsys, FLAWED_SCRIPT_STRING)
-    assert code == check_code == 1
-    assert analyzed["summary"] == checked["summary"]
+    checked_clean = tmp_path / "checked.html"
+    analyzed_clean = tmp_path / "analyzed.html"
+    for case in TEMPLATE_CASES:
+        template, env = _write_case(tmp_path, case)
+        assert main(["render", template, env, "--seed", "0",
+                     "--out", str(bundle_path)]) == 0
+        for fmt in ("json", "text"):
+            capsys.readouterr()
+            check_code = main(["check", template, env, "--seed", "0",
+                               "--format", fmt,
+                               "--clean-out", str(checked_clean)])
+            checked = capsys.readouterr()
+            code = main(["analyze", str(bundle_path), "--format", fmt,
+                         "--clean-out", str(analyzed_clean)])
+            analyzed = capsys.readouterr()
+            assert (code, analyzed) == (check_code, checked), (case.name, fmt)
+            assert code in (0, 1), case.name
+            assert (analyzed_clean.read_bytes()
+                    == checked_clean.read_bytes()), (case.name, fmt)
 
 
 def test_render_is_deterministic_per_seed(tmp_path, capsys):
@@ -171,7 +185,7 @@ def test_json_report_with_shared_contexts_encodes_as_before(tmp_path,
                  "json", "--seed", "5"]) == 1
     out = capsys.readouterr().out
 
-    document, registry = render(parse_template(source), env, seed=5)
+    document, registry, clean = render(parse_template(source), env, seed=5)
     findings = analyze(document, registry)
     verdicts = verify(findings, registry, default_context_map())
     summary = aggregate(verdicts)
@@ -190,7 +204,7 @@ def test_json_report_with_shared_contexts_encodes_as_before(tmp_path,
                       "sufficient": v.sufficient,
                       "pattern": v.pattern.value if v.pattern else None}
                      for v in verdicts],
-        "clean_document": strip_annotations(document, registry),
+        "clean_document": clean,
     })
     assert len({f.context for f in findings}) < len(findings)
     assert out == expected + "\n"
@@ -242,10 +256,10 @@ _EVERY_PATTERN = (
 @example(_EVERY_PATTERN)
 @example(([], [], ReportSummary(0, 0, 0, {}), ""))
 def test_json_report_is_the_text_json_dumps_writes(report):
-    """The report writer gives, byte for byte, what json.dumps gives
-    for the same report as dicts and lists."""
+    """The report writer's parts, joined, give byte for byte what
+    json.dumps gives for the same report as dicts and lists."""
     expected = json.dumps(reference_report_dict(*report), check_circular=False)
-    assert _report_json(*report) == expected
+    assert "".join(_report_json(*report)) == expected
 
 
 def test_render_literals_only_has_empty_registry(tmp_path, capsys):
@@ -266,8 +280,26 @@ def test_clean_out_matches_annotation_free_render(tmp_path, capsys):
     main(["check", template, env, "--clean-out", str(clean_path),
           "--format", "json"])
     capsys.readouterr()
-    plain, _ = render_case(HREF_URI, seed=0, annotate=False)
+    _, _, plain = render_case(HREF_URI, seed=0)
     assert clean_path.read_text(encoding="utf-8") == plain
+
+
+def test_check_clean_document_keeps_a_value_that_spells_a_seeded_token(
+        tmp_path, capsys):
+    # The value spells the token --seed 0 gives its sink.  The page
+    # without annotations holds the value as written; stripping every
+    # registered occurrence wrote <p></p>.
+    token = SinkRegistry(seed=0).new_token()
+    template = tmp_path / "page.tpl"
+    env = tmp_path / "env.json"
+    clean_path = tmp_path / "clean.html"
+    template.write_text("<p>{{q}}</p>", encoding="utf-8")
+    env.write_text(json.dumps({"q": token}), encoding="utf-8")
+    assert main(["check", str(template), str(env), "--seed", "0",
+                 "--format", "json", "--clean-out", str(clean_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert clean_path.read_text(encoding="utf-8") == f"<p>{token}</p>"
+    assert report["clean_document"] == f"<p>{token}</p>"
 
 
 def test_analyze_chunked_bundle_equals_monolithic(tmp_path, capsys):

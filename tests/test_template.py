@@ -81,7 +81,7 @@ def test_sink_ids_are_ordinals():
 
 def test_render_autoescapes_by_default():
     template = parse_template("{{request.POST.query}}")
-    document, registry = render(
+    document, registry, _ = render(
         template, {"request": {"POST": {"query": 'x"y'}}}, seed=0)
     token = registry.tokens()[0]
     assert document == token + "x&quot;y"
@@ -92,7 +92,7 @@ def test_render_autoescapes_by_default():
 
 def test_render_safe_filter_suppresses_autoescape():
     template = parse_template("{{q|safe}}")
-    document, registry = render(template, {"q": "<b>"}, seed=0)
+    document, registry, _ = render(template, {"q": "<b>"}, seed=0)
     token = registry.tokens()[0]
     assert document == token + "<b>"
     assert registry[token].taint == frozenset({("q", ("safe",))})
@@ -100,21 +100,22 @@ def test_render_safe_filter_suppresses_autoescape():
 
 def test_render_explicit_escapes_suppress_autoescape():
     template = parse_template("{{q|escape|escapejs}}")
-    _, registry = render(template, {"q": "v"}, seed=0)
+    _, registry, _ = render(template, {"q": "v"}, seed=0)
     entry = registry[registry.tokens()[0]]
     assert entry.taint == frozenset({("q", ("html_escape", "js_escape"))})
 
 
 def test_render_urlencode_still_autoescapes():
     template = parse_template("{{q|urlencode}}")
-    _, registry = render(template, {"q": "a b"}, seed=0)
+    _, registry, _ = render(template, {"q": "a b"}, seed=0)
     entry = registry[registry.tokens()[0]]
     assert entry.taint == frozenset({("q", ("url_encode", "html_escape"))})
 
 
 def test_render_literal_only_template_registers_nothing():
-    document, registry = render(parse_template("static <b>text</b>"), {}, seed=0)
-    assert document == "static <b>text</b>"
+    document, registry, clean = render(parse_template("static <b>text</b>"),
+                                       {}, seed=0)
+    assert document == clean == "static <b>text</b>"
     assert len(registry) == 0
 
 
@@ -129,9 +130,9 @@ def test_render_without_annotations_matches_stripped_output():
 
     template = parse_template('<a href="{{u}}">{{u}}</a>')
     env = {"u": "https://example.com"}
-    annotated, registry = render(template, env, seed=0)
-    plain, _ = render(template, env, seed=0, annotate=False)
+    annotated, registry, plain = render(template, env, seed=0)
     assert strip_annotations(annotated, registry) == plain
+    assert plain == '<a href="https://example.com">https://example.com</a>'
 
 
 def test_autoescape_applied_iff_not_safe_marked():
@@ -147,7 +148,7 @@ def test_autoescape_applied_iff_not_safe_marked():
         "{{q|safe|urlencode}}": ("safe", "url_encode"),
     }
     for source, expected_chain in cases.items():
-        _, registry = render(parse_template(source), {"q": "v"}, seed=0)
+        _, registry, _ = render(parse_template(source), {"q": "v"}, seed=0)
         entry = registry[registry.tokens()[0]]
         assert entry.taint == frozenset({("q", expected_chain)}), source
 
@@ -177,7 +178,7 @@ def test_resolve_path_numeric_leaf_modes():
 
 def test_tainted_expansions_register_exactly_once():
     template = parse_template("{{a}}-{{a}}")
-    _, registry = render(template, {"a": "v"}, seed=0)
+    _, registry, _ = render(template, {"a": "v"}, seed=0)
     assert len(registry) == 2
     sinks = sorted(entry.sink for _, entry in registry.items())
     assert sinks == ["template:0", "template:1"]
@@ -224,10 +225,9 @@ def _templates(draw):
 def test_render_matches_the_per_node_reference(source, env, seed):
     template = parse_template(source)
     for mode in TrackingMode:
-        for annotate in (True, False):
-            document, registry = render(template, env, seed=seed, mode=mode,
-                                        annotate=annotate)
-            expected, reference = reference_render(
-                template, env, seed=seed, mode=mode, annotate=annotate)
-            assert document == expected
-            assert list(registry.items()) == list(reference.items())
+        document, registry, clean = render(template, env, seed=seed,
+                                           mode=mode)
+        expected, reference, expected_clean = reference_render(
+            template, env, seed=seed, mode=mode)
+        assert (document, clean) == (expected, expected_clean)
+        assert list(registry.items()) == list(reference.items())
