@@ -20,10 +20,6 @@ SinkId = str
 TOKEN_PREFIX = "xtnt"
 TOKEN_LENGTH = 36
 TOKEN_RE = re.compile(r"xtnt[0-9a-f]{32}")
-_PREFIX_LENGTH = len(TOKEN_PREFIX)
-_TOKEN_CHARS = frozenset(TOKEN_PREFIX + "0123456789abcdef")
-# How far before a removal point a token spanning it may start.
-_BACK = TOKEN_LENGTH - 1
 
 
 class UnknownResidue(Exception):
@@ -129,42 +125,15 @@ def emit_to_sink(value, sink: SinkId, out: list[str],
 def strip_annotations(document: str, registry: SinkRegistry) -> str:
     """Remove every registered token, leaving everything else untouched.
 
-    One ``str.find`` walk over the document visits each occurrence of
-    the prefix ``xtnt`` and removes the registered token it starts, if
-    any.  The prefix holds no hex digit, so no token occurrence can
-    overlap another.  A registered token that is left afterwards was
-    formed by a removal (a token nested inside another) and raises
-    ``UnknownResidue``.  Such a token spans a removal point, so it ends
-    in a token character there and starts within ``TOKEN_LENGTH - 1``
-    characters before it: only those prefixes are looked up, and the
-    first residue in the result is the one reported.
+    Each ``TOKEN_RE`` match that is registered is removed in one pass.
+    Every registered token matches ``TOKEN_RE`` whole, and no two
+    matches overlap, so that is every registered occurrence.  A
+    registered token left afterwards was formed by a removal (a token
+    nested inside another) and raises ``UnknownResidue``.
     """
     entries = registry._entries
-    kept, cuts = [], []
-    find, keep = document.find, kept.append
-    pos = length = 0
-    at = find(TOKEN_PREFIX)
-    while at >= 0:
-        if document[at:at + TOKEN_LENGTH] in entries:
-            keep(document[pos:at])
-            length += at - pos
-            cuts.append(length)
-            pos = at + TOKEN_LENGTH
-            at = find(TOKEN_PREFIX, pos)
-        else:
-            at = find(TOKEN_PREFIX, at + _PREFIX_LENGTH)
-    if not cuts:
-        return document
-    keep(document[pos:])
-    clean = "".join(kept)
-    find = clean.find
-    for cut in cuts:
-        if cut and clean[cut - 1] in _TOKEN_CHARS:
-            # The prefix of a token spanning the cut ends before this.
-            stop = cut + _PREFIX_LENGTH - 1
-            at = find(TOKEN_PREFIX, cut - _BACK if cut > _BACK else 0, stop)
-            while at >= 0:
-                if (residue := clean[at:at + TOKEN_LENGTH]) in entries:
-                    raise UnknownResidue(f"token {residue} survived removal")
-                at = find(TOKEN_PREFIX, at + _PREFIX_LENGTH, stop)
+    clean = TOKEN_RE.sub(lambda m: "" if m[0] in entries else m[0], document)
+    for match in TOKEN_RE.finditer(clean):
+        if match[0] in entries:
+            raise UnknownResidue(f"token {match[0]} survived removal")
     return clean

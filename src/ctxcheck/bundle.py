@@ -89,18 +89,16 @@ def _parse_taint(token: str, item) -> tuple[str, tuple[str, ...]]:
 def read_json(path, error: type[Exception], name: str):
     """Parse the JSON file at ``path``, which the messages call ``name``.
 
-    Malformed JSON raises json.JSONDecodeError and text that is not
-    UTF-8 UnicodeDecodeError.  Nesting deeper than the recursion limit
-    and an integer of more digits than int() converts (4,300 by
-    default), which json reports as RecursionError and ValueError,
-    raise ``error``.
+    Malformed JSON, nesting deeper than the recursion limit and an
+    integer of more digits than int() converts (4,300 by default)
+    raise ``error``; text that is not UTF-8 raises UnicodeDecodeError.
     """
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
     try:
         return json.loads(text)
-    except json.JSONDecodeError:  # a ValueError that callers report
-        raise
+    except json.JSONDecodeError as exc:
+        raise error(f"{name} is not valid JSON: {exc}") from None
     except RecursionError:
         raise error(f"{name} JSON is nested too deeply") from None
     except ValueError as exc:
@@ -108,8 +106,4 @@ def read_json(path, error: type[Exception], name: str):
 
 
 def read_bundle(path) -> Bundle:
-    try:
-        data = read_json(path, BundleError, "bundle")
-    except json.JSONDecodeError as exc:
-        raise BundleError(f"bundle is not valid JSON: {exc}") from None
-    return load_bundle(data)
+    return load_bundle(read_json(path, BundleError, "bundle"))

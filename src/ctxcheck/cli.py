@@ -65,7 +65,7 @@ def _read_env(path: str) -> dict:
 
 
 def _load_map(args) -> dict:
-    if getattr(args, "context_map", None):
+    if args.context_map:
         return load_context_map(args.context_map)
     return default_context_map()
 
@@ -260,9 +260,6 @@ def main(argv=None) -> int:
     except (TemplateSyntaxError, BundleError, ContextMapError,
             UnknownSanitizer, MissingToken, UnknownResidue) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON input: {exc}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as exc:
         print(f"error: input is not UTF-8: {exc}", file=sys.stderr)

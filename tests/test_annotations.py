@@ -153,8 +153,7 @@ def test_strip_flags_a_residue_split_at_every_cut(left):
     """A token with ``left`` of its characters before the point where
     one or two others are removed and the rest after it, alone or
     between other removals, is kept when unregistered and raised when
-    registered: the residue check must look back the full length of a
-    token but one from each removal point."""
+    registered, wherever the removal splits it."""
     registry = SinkRegistry(seed=0)
     first, inner, last = (registry.register(frozenset({("o", ())}), "s")
                           for _ in range(3))

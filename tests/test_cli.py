@@ -539,6 +539,21 @@ def test_exit_code_two_on_malformed_bundle_json(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_exit_code_two_on_malformed_env_and_map_json_names_the_file(
+        tmp_path, capsys):
+    template, env = _write_case(tmp_path, FLAWED_SCRIPT_STRING)
+    bad = tmp_path / "broken.json"
+    bad.write_text("{not json", encoding="utf-8")
+    for argv, name in ((["check", template, str(bad)], "environment file"),
+                       (["check", template, env, "--context-map", str(bad)],
+                        "context map")):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith(f"error: {name} is not valid JSON: "), \
+            argv
+
+
 def test_exit_code_two_on_invalid_context_map(tmp_path, capsys):
     template, env = _write_case(tmp_path, FLAWED_SCRIPT_STRING)
     bad_map = tmp_path / "map.json"
@@ -648,20 +663,27 @@ _FUZZ_TEMPLATE = ('<a href="{{a|urlencode}}" onclick="f(\'{{b|escapejs}}\')">'
 
 
 @settings(max_examples=150, deadline=None)
-@given(_BUNDLES, _ENVS, _MAPS, st.booleans(), st.sampled_from(("json", "text")))
-def test_any_json_input_exits_zero_one_or_two(bundle, env, cmap, use_map, fmt):
+@given(_BUNDLES, _ENVS, _MAPS, st.booleans(), st.sampled_from(("json", "text")),
+       st.sampled_from((None, None, "bundle", "env", "map")),
+       st.floats(min_value=0, max_value=1))
+def test_any_json_input_exits_zero_one_or_two(bundle, env, cmap, use_map, fmt,
+                                              truncated, keep):
     """Whatever JSON the bundle, environment and context map files hold,
-    every subcommand returns 0, 1 or 2 and raises nothing.  Output goes
-    to UTF-8 text streams with the error handlers of a UTF-8 terminal:
-    strict for standard output, backslashreplace for standard error."""
+    and with one of them sometimes cut short, every subcommand returns
+    0, 1 or 2 and raises nothing, and prints nothing on standard output
+    when it returns 2.  Output goes to UTF-8 text streams with the error
+    handlers of a UTF-8 terminal: strict for standard output,
+    backslashreplace for standard error."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for name, data in (("bundle", bundle), ("env", env), ("map", cmap),
                            ("template", None)):
             paths[name] = os.path.join(tmp, name)
+            text = _FUZZ_TEMPLATE if name == "template" else json.dumps(data)
+            if name == truncated:
+                text = text[:int(len(text) * keep)]
             with open(paths[name], "w", encoding="utf-8") as handle:
-                handle.write(_FUZZ_TEMPLATE if name == "template"
-                             else json.dumps(data))
+                handle.write(text)
         options = ["--format", fmt, "--clean-out", os.path.join(tmp, "clean")]
         if use_map:
             options += ["--context-map", paths["map"]]
@@ -674,4 +696,7 @@ def test_any_json_input_exits_zero_one_or_two(bundle, env, cmap, use_map, fmt):
             err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8",
                                    errors="backslashreplace")
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                assert main(argv) in (0, 1, 2), argv
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+            out.flush()
+            assert code != 2 or out.buffer.getvalue() == b"", argv
