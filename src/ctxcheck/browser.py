@@ -171,7 +171,7 @@ _ATTRIBUTES = {"plain": (None, ""), "event": ("js_scan", ""),
 # The kind of each lower-cased attribute name that has one; any other
 # name is an event handler if it starts with "on", and plain if not.
 _ATTRIBUTE_KIND = {"style": "css", "srcdoc": "doc", **dict.fromkeys((
-    "href src action formaction poster cite background data xlink:href"
+    "href src action formaction background data xlink:href"
     ).split(), "uri")}
 
 # A named reference written without ";" right before a token prefix,

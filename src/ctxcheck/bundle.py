@@ -60,7 +60,7 @@ def load_bundle(data) -> Bundle:
         taints = entry.get("taints")
         if not isinstance(sink, str) or not sink:
             raise BundleError(f"registry entry for {token!r} needs a sink")
-        if not isinstance(taints, list) or not taints:
+        if not isinstance(taints, list):
             raise BundleError(f"registry entry for {token!r} needs taints")
         parsed = set()
         for item in taints:

@@ -64,12 +64,6 @@ def _read_env(path: str) -> dict:
     return data
 
 
-def _load_map(args) -> dict:
-    if args.context_map:
-        return load_context_map(args.context_map)
-    return default_context_map()
-
-
 def _render_bundle(args) -> tuple[Bundle, str]:
     """The rendered bundle and the render's own clean document."""
     template = parse_template(_read_text(args.template))
@@ -148,7 +142,8 @@ def _analyze_bundle(bundle: Bundle, args, clean: str | None = None) -> int:
     """Analyze, verify and report.  ``clean`` is the render's own clean
     document; a bundle read from a file carries none, so its tokens are
     stripped."""
-    cmap = _load_map(args)
+    cmap = (load_context_map(args.context_map) if args.context_map
+            else default_context_map())
     findings = analyze(bundle.document, bundle.registry)
     verdicts = verify(findings, bundle.registry, cmap)
     summary = aggregate(verdicts)
@@ -204,7 +199,7 @@ def _add_render_arguments(parser) -> None:
                         help="token generator seed, for reproducible tokens "
                              "(default: fresh OS entropy on every run)")
     parser.add_argument("--mode", default="full",
-                        choices=[m.value for m in TrackingMode],
+                        choices=("full", "no-numeric"),
                         help="taint tracking mode")
 
 
@@ -258,7 +253,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (TemplateSyntaxError, BundleError, ContextMapError,
-            UnknownSanitizer, MissingToken, UnknownResidue) as exc:
+            UnknownSanitizer, MissingToken, UnknownResidue, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as exc:
@@ -269,9 +264,6 @@ def main(argv=None) -> int:
         # document; the JSON report escapes it.
         print(f"error: output cannot be written as UTF-8: {exc}",
               file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"error: internal error: {exc!r}", file=sys.stderr)

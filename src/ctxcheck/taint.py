@@ -21,9 +21,6 @@ SourceId = str
 # Application order, first applied first.
 SanitizerChain = tuple[SanitizerId, ...]
 
-# One provenance entry: where the value came from and what was applied since.
-TaintEntry = tuple[SourceId, SanitizerChain]
-
 TaintRecord = frozenset
 EMPTY_TAINT: TaintRecord = frozenset()
 

@@ -63,12 +63,6 @@ Node = Union[Literal, Expansion]
 class Template(NamedTuple):
     nodes: tuple[Node, ...]
 
-    def source(self) -> str:
-        return "".join(
-            node.text if isinstance(node, Literal) else node.raw
-            for node in self.nodes
-        )
-
 
 def parse_template(source: str) -> Template:
     """Split template source into literals and expansions.
@@ -115,22 +109,22 @@ def parse_template(source: str) -> Template:
     return Template(tuple(nodes))
 
 
-def resolve_path(env: Environment, path, *,
+def resolve_path(env: Environment, path: tuple[str, ...], *,
                  mode: TrackingMode = TrackingMode.FULL) -> TaintedText:
-    """Look up a dotted path and wrap the leaf as a taint source.
+    """Look up a path of keys and wrap the leaf as a taint source, named
+    by the dotted path.
 
     Missing paths resolve to an empty untainted string.  Numeric leaves
     become tainted numbers first and are then stringified, so the
     tracking mode decides whether their taint survives.
     """
-    segments = tuple(path.split(".")) if isinstance(path, str) else tuple(path)
     node: Any = env
-    for segment in segments:
+    for segment in path:
         if isinstance(node, Mapping) and segment in node:
             node = node[segment]
         else:
             return untainted("")
-    origin = ".".join(segments)
+    origin = ".".join(path)
     if isinstance(node, str):
         return make_source(node, origin)
     if isinstance(node, (int, float)):

@@ -367,6 +367,13 @@ SNIPPETS = [
                 ("HtmlAttrDq", "Uri")),
     SnippetCase("img-src", '<img src="@T@">', ("HtmlAttrDq", "Uri")),
     SnippetCase("form-action", '<form action="@T@">', ("HtmlAttrDq", "Uri")),
+    SnippetCase("button-formaction", '<button formaction="@T@">',
+                ("HtmlAttrDq", "Uri")),
+    # A poster is fetched as an image and a cite is never fetched, so no
+    # browser runs a javascript: URL from either: both values are plain.
+    SnippetCase("video-poster", '<video poster="@T@">', ("HtmlAttrDq",)),
+    SnippetCase("blockquote-cite", '<blockquote cite="@T@">',
+                ("HtmlAttrDq",)),
     SnippetCase("svg-xlink-href", '<svg><a xlink:href="@T@">x</a></svg>',
                 ("HtmlAttrDq", "Uri")),
     # The model has no namespaces, so it reads foreign content as HTML.

@@ -212,8 +212,8 @@ def reference_report_dict(findings, verdicts, summary,
 # compare it only on documents nested far less than MAX_NESTING deep.
 
 URI_ATTRIBUTES = frozenset(
-    {"href", "src", "action", "formaction", "poster", "cite", "background",
-     "data", "xlink:href"}
+    {"href", "src", "action", "formaction", "background", "data",
+     "xlink:href"}
 )
 
 _WS = " \t\n\r\f"

@@ -93,6 +93,8 @@ def test_registry_rejects_untainted_and_duplicates():
     with pytest.raises(RegistrationError):
         registry.register(frozenset(), "s")
     token = registry.register(frozenset({("o", ())}), "s")
+    assert token in registry and registry.new_token() not in registry
+    assert registry != {token: registry[token]}
     with pytest.raises(RegistrationError):
         registry.add(token, frozenset({("o", ())}), "s")
     with pytest.raises(RegistrationError):

@@ -60,6 +60,10 @@ def test_chunks_are_joined_in_order_and_may_be_empty():
     lambda d: next(iter(d["registry"].values())).update(sink=""),
     lambda d: next(iter(d["registry"].values()))["taints"].__setitem__(
         0, {"origin": "o", "chain": [3]}),
+    lambda d: d.update(document=["<p>", 3]),
+    lambda d: d["registry"].update({"x": []}),
+    lambda d: next(iter(d["registry"].values())).update(taints=["o"]),
+    lambda d: next(iter(d["registry"].values())).pop("taints"),
 ])
 def test_load_rejects_malformed_bundles(mutate):
     document, registry = _rendered()

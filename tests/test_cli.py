@@ -4,8 +4,11 @@ import contextlib
 import io
 import json
 import os
+import runpy
+import sys
 import tempfile
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +28,7 @@ from corpus import (
     HREF_URI,
     JS_CODE_ARGUMENT,
     TEMPLATE_CASES,
+    TemplateCase,
 )
 from oracles import reference_report_dict
 
@@ -109,6 +113,39 @@ def test_check_clean_fixture_exits_zero(tmp_path, capsys):
     code, report = _check(tmp_path, capsys, ALL_CORRECT_SHOP)
     assert code == 0
     assert report["summary"]["correct"] == report["summary"]["sanitizations"] == 4
+
+
+def test_mode_decides_whether_a_number_keeps_its_taint(tmp_path, capsys):
+    # Under no-numeric a number's taint ends where it is converted, so
+    # nothing reaches the sink.  The library's third mode differs from
+    # no-numeric only in operations that return pieces, which no template
+    # operation is, so the command line does not offer it.
+    case = TemplateCase("number", "<script>var n = {{db.n}};</script>",
+                        {"db": {"n": 7}}, {})
+    code, report = _check(tmp_path, capsys, case, "--seed", "0")
+    assert code == 1
+    assert report["patterns"] == {"HtmlInJsCode": 1}
+    assert report["findings"][0]["context"] == ["HtmlScriptData", "JsCode"]
+    code, report = _check(tmp_path, capsys, case, "--mode", "no-numeric")
+    assert code == 0
+    assert report["summary"]["sanitizations"] == 0
+    template, env = _write_case(tmp_path, case)
+    with pytest.raises(SystemExit) as exc:
+        main(["check", template, env, "--mode", "no-containers"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'no-containers'" in capsys.readouterr().err
+
+
+def test_module_run_as_a_script_exits_with_the_code_of_main(
+        tmp_path, capsys, monkeypatch):
+    template, env = _write_case(tmp_path, FLAWED_SCRIPT_STRING)
+    monkeypatch.setattr(sys, "argv", ["ctxcheck", "check", template, env])
+    # Run afresh as __main__, not as the module already imported.
+    monkeypatch.delitem(sys.modules, "ctxcheck.cli")
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("ctxcheck.cli", run_name="__main__")
+    assert exc.value.code == 1
+    assert "HTML escaping in JavaScript string" in capsys.readouterr().out
 
 
 def test_render_then_analyze_matches_check(tmp_path, capsys):
@@ -558,7 +595,8 @@ def test_exit_code_two_on_invalid_context_map(tmp_path, capsys):
     template, env = _write_case(tmp_path, FLAWED_SCRIPT_STRING)
     bad_map = tmp_path / "map.json"
     for cmap in ({"x": [["Unknown"]]}, {"x": [[["HtmlText"]]]},
-                 {"x": [[{"a": 1}]]}):
+                 {"x": [[{"a": 1}]]}, {"": []}, {"html_escape": "x"},
+                 {"html_escape": ["x"]}):
         bad_map.write_text(json.dumps(cmap), encoding="utf-8")
         assert main(["check", template, env,
                      "--context-map", str(bad_map)]) == 2, cmap

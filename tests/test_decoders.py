@@ -132,6 +132,7 @@ def test_js_string_decode():
 def test_js_string_decode_forgiving():
     assert js_string_decode("\\u12") == "\\u12"
     assert js_string_decode("\\x9") == "\\x9"
+    assert js_string_decode("\\u{110000}") == "\\u{110000}"
 
 
 def test_js_string_decode_on_attack_shape():

@@ -70,7 +70,8 @@ def test_parse_error_offset_is_the_first_bad_expansion():
 
 def test_template_round_trips_to_source():
     source = "a {{ x | escape }} b {{y}} c"
-    assert parse_template(source).source() == source
+    assert "".join(node.text if isinstance(node, Literal) else node.raw
+                   for node in parse_template(source).nodes) == source
 
 
 def test_sink_ids_are_ordinals():
@@ -155,23 +156,24 @@ def test_autoescape_applied_iff_not_safe_marked():
 
 def test_resolve_path_wraps_leaves_as_sources():
     env = {"request": {"GET": {"language": "cs"}}}
-    value = resolve_path(env, "request.GET.language")
+    value = resolve_path(env, ("request", "GET", "language"))
     assert value.text == "cs"
     assert value.taint == frozenset({("request.GET.language", ())})
 
 
 def test_resolve_path_missing_is_empty_untainted():
-    value = resolve_path({}, "nope.nothing")
+    value = resolve_path({}, ("nope", "nothing"))
     assert value.text == ""
     assert value.taint == EMPTY_TAINT
 
 
 def test_resolve_path_numeric_leaf_modes():
     env = {"db": {"count": 7}}
-    full = resolve_path(env, "db.count", mode=TrackingMode.FULL)
+    full = resolve_path(env, ("db", "count"), mode=TrackingMode.FULL)
     assert full.text == "7"
     assert full.taint == frozenset({("db.count", ())})
-    limited = resolve_path(env, "db.count", mode=TrackingMode.NO_NUMERIC)
+    limited = resolve_path(env, ("db", "count"),
+                           mode=TrackingMode.NO_NUMERIC)
     assert limited.text == "7"
     assert limited.taint == EMPTY_TAINT
 
