@@ -60,8 +60,6 @@ class SinkRegistry:
             return NotImplemented
         return self._entries == other._entries
 
-    __hash__ = None
-
     def __contains__(self, token: str) -> bool:
         return token in self._entries
 

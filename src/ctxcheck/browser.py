@@ -66,7 +66,9 @@ characters.  No stride is tried over a range of at most
 construct.  JavaScript strings and comments are terminal, so lexing a
 script stops after its last token prefix.  HTML, CSS and URI text is
 walked to its end, because entity, percent, CSS-escape and base64
-decoding can reveal a token that the raw text does not spell.
+decoding can reveal a token that the raw text does not spell.  Bodies
+of strings, comments and attribute values are possessive repeats: with
+no backtracking state, a long one costs no more memory than its text.
 
 The HTML scanner is deliberately forgiving.  Regions it cannot make
 sense of (tag and attribute names, declarations, unterminated
@@ -388,9 +390,6 @@ _INERT_TAG = (
 _HTML_STRIDE = re.compile(
     rf"(?:[^<]*<(?:{_INERT_TAG}|/[^>]*>|!--(?:-?>|{_COMMENT_BODY}--!?>)"
     r"|(?!!--)[!?][^>]*>|(?=[^!?/a-zA-Z])))*+")
-# Decoding can reveal a token in markup without its prefix, so HTML is
-# lexed to its end with the same table and stride.
-_HTML_TAIL = (_HTML, _HTML_STRIDE)
 
 _CONTEXT = {
     "html_comment": BrowserContext.HtmlComment,
@@ -462,9 +461,11 @@ class ModelBrowser:
                 at = find(TOKEN_PREFIX, at + _PREFIX_LENGTH, hi)
 
     def _lex(self, text: str, prefix: ContextSequence, table: re.Pattern,
-             default: BrowserContext, stride: re.Pattern, pos: int, end: int,
-             nxt: int, tail: tuple[re.Pattern, re.Pattern] | None) -> None:
-        """Classify ``text[pos:end]`` with a lexer table, from ``table``.
+             default: BrowserContext, stride: re.Pattern, pos: int,
+             end: int | None, nxt: int,
+             tail: tuple[re.Pattern, re.Pattern] | None) -> None:
+        """Classify ``text[pos:end]`` with a lexer table, from ``table``;
+        an ``end`` of None is the end of the text.
 
         Text between matches gets ``default`` and each match's group
         text the group's context.  ``nxt`` is the first token prefix at
@@ -488,6 +489,8 @@ class ModelBrowser:
         pattern uses "^", ``\\A``, ``\\b``, ``\\B`` or a lookbehind,
         which would look outside the window.
         """
+        if end is None:
+            end = len(text)
         if nxt < pos:
             nxt = text.find(TOKEN_PREFIX, pos, end)
         if not 0 <= nxt <= end - _PREFIX_LENGTH:
@@ -529,18 +532,18 @@ class ModelBrowser:
     def html_scan(self, text: str, prefix: ContextSequence = ()) -> None:
         """Lex a document to its end, striding over token-free markup.
 
-        Entity decoding can reveal a token in an attribute value, so
-        every start tag with an attribute that could hand a value on is
-        read by ``_start_tag``; where a stride runs, it consumes the
-        others.
+        Decoding can reveal a token in markup without its prefix, so
+        past the last prefix HTML is lexed on with the same table and
+        stride, and each start tag with an attribute that could hand a
+        value on is read by ``_start_tag``; where a stride runs, it
+        consumes the others.
         """
         self.scan_count += 1
-        prefix = tuple(prefix)
         if len(prefix) >= MAX_NESTING:
             self._classify(text, 0, len(text), prefix, BrowserContext.Unknown)
             return
         self._lex(text, prefix, _HTML, BrowserContext.HtmlText, _HTML_STRIDE,
-                  0, len(text), -1, _HTML_TAIL)
+                  0, None, -1, (_HTML, _HTML_STRIDE))
 
     def _start_tag(self, text: str, tag_match: re.Match,
                    prefix: ContextSequence, nxt: int) -> int:
@@ -624,8 +627,7 @@ class ModelBrowser:
                prefix: ContextSequence, ctx: BrowserContext) -> None:
         """Entity-decode an attribute value and hand it to ``scanner``,
         or classify it if there is none."""
-        if "&" in value:
-            value = entity_decode(value)
+        value = entity_decode(value)
         if scanner is None:
             if TOKEN_PREFIX in value:
                 self._classify(value, 0, len(value), prefix, ctx)
@@ -652,13 +654,11 @@ class ModelBrowser:
         stride.
         """
         self.scan_count += 1
-        if end is None:
-            # A whole text is most often a short token-free value, which
-            # a membership test turns away faster than a bounded find.
-            if TOKEN_PREFIX not in text:
-                return
-            end = len(text)
-        self._lex(text, tuple(prefix), _JS, BrowserContext.JsCode,
+        # A whole text is most often a short token-free value, which a
+        # membership test turns away faster than a bounded find.
+        if end is None and TOKEN_PREFIX not in text:
+            return
+        self._lex(text, prefix, _JS, BrowserContext.JsCode,
                   _JS_STRIDE, start, end, nxt, None)
 
     # -- CSS ----------------------------------------------------------------
@@ -676,9 +676,7 @@ class ModelBrowser:
         it reads only the constructs (``_CSS_TAIL``).
         """
         self.scan_count += 1
-        if end is None:
-            end = len(text)
-        self._lex(text, tuple(prefix), _CSS, BrowserContext.Unknown,
+        self._lex(text, prefix, _CSS, BrowserContext.Unknown,
                   _CSS_STRIDE, start, end, nxt, _CSS_TAIL)
 
     def _css_url(self, text: str, match: re.Match,
@@ -718,7 +716,6 @@ class ModelBrowser:
         classified as written.
         """
         self.scan_count += 1
-        prefix = tuple(prefix)
         # Tabs and newlines are not printable.
         url = text if text.isprintable() else text.translate(_TAB_OR_NEWLINE)
         match = _JS_URI_RE.match(url)
@@ -776,4 +773,4 @@ def analyze(document: str, registry: SinkRegistry) -> list[Finding]:
     missing = browser.tokens - {finding.token for finding in browser.findings}
     if missing:
         raise MissingToken(min(missing))
-    return list(browser.findings)
+    return browser.findings

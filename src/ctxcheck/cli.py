@@ -52,22 +52,13 @@ PATTERN_LABELS = {
 }
 
 
-def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
-
-
-def _read_env(path: str) -> dict:
-    data = read_json(path, BundleError, "environment file")
-    if not isinstance(data, dict):
-        raise BundleError("environment file must hold an object")
-    return data
-
-
 def _render_bundle(args) -> tuple[Bundle, str]:
     """The rendered bundle and the render's own clean document."""
-    template = parse_template(_read_text(args.template))
-    env = _read_env(args.env)
+    with open(args.template, encoding="utf-8") as handle:
+        template = parse_template(handle.read())
+    env = read_json(args.env, BundleError, "environment file")
+    if not isinstance(env, dict):
+        raise BundleError("environment file must hold an object")
     mode = TrackingMode(args.mode)
     document, registry, clean = render(template, env, seed=args.seed,
                                        mode=mode)

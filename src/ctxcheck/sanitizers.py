@@ -68,11 +68,3 @@ def url_encode(value: TaintedText) -> TaintedText:
 def mark_safe(value: TaintedText) -> TaintedText:
     """Leave the text alone but suppress automatic escaping downstream."""
     return _emit(value, value.text, SAFE_ID, True)
-
-
-SANITIZERS = {
-    HTML_ESCAPE_ID: html_escape,
-    JS_ESCAPE_ID: js_escape,
-    URL_ENCODE_ID: url_encode,
-    SAFE_ID: mark_safe,
-}

@@ -16,7 +16,7 @@ from ctxcheck.annotations import (
     emit_to_sink,
     strip_annotations,
 )
-from ctxcheck.sanitizers import SANITIZERS
+from ctxcheck.sanitizers import html_escape, js_escape, mark_safe, url_encode
 from ctxcheck.taint import make_source, untainted
 from ctxcheck.template import parse_template, render
 
@@ -231,5 +231,5 @@ def test_tokens_pass_through_every_sanitizer_unchanged():
     rng = random.Random(3)
     for _ in range(50):
         token = "xtnt" + "%032x" % rng.getrandbits(128)
-        for fn in SANITIZERS.values():
+        for fn in (html_escape, js_escape, url_encode, mark_safe):
             assert fn(untainted(token)).text == token

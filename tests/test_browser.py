@@ -15,7 +15,7 @@ from ctxcheck.browser import MAX_NESTING, MissingToken, ModelBrowser, analyze
 from ctxcheck.contexts import BrowserContext as C
 
 from corpus import SNIPPETS, build_snippet
-from oracles import ReferenceBrowser
+from oracles import URI_ATTRIBUTES, ReferenceBrowser
 
 
 def _registry_with_token(seed=0):
@@ -95,6 +95,30 @@ def test_html_scan_attribute_values_are_entity_decoded():
     value = f"javascript:alert(&#x27;{token}&#x27;)"
     findings = _scan("html", f'<a href="{value}">', registry)
     assert findings[0].context == (C.HtmlAttrDq, C.Uri, C.JsStringSq)
+
+
+# The contexts that a value of each kind adds after HtmlAttrDq.
+_KIND_CONTEXTS = {"onclick": (C.JsStringSq,), "style": (C.CssString,),
+                  "srcdoc": (C.HtmlText,),
+                  **dict.fromkeys(URI_ATTRIBUTES, (C.Uri, C.JsStringSq))}
+
+
+@pytest.mark.parametrize("name", [
+    spelling for name in sorted(URI_ATTRIBUTES | {
+        "style", "srcdoc", "onclick", "title", "poster", "cite"})
+    for spelling in (name, name.upper())])
+def test_each_attribute_kind_hands_its_value_to_its_scanner(name):
+    """Every URI name, one name of each other kind and three plain ones,
+    in either case, read a javascript: value as the reference does: the
+    random reference properties rarely spell one name before a token."""
+    registry, token = _registry_with_token()
+    document = f"""<p {name}="javascript:'{token}'">x</p>"""
+    findings = _scan("html", document, registry)
+    reference = ReferenceBrowser(registry)
+    reference.html_scan(document)
+    assert findings == reference.findings
+    assert [finding.context for finding in findings] == [
+        (C.HtmlAttrDq, *_KIND_CONTEXTS.get(name.lower(), ()))]
 
 
 @pytest.mark.parametrize("value, contexts", [

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import runpy
 import sys
 import tempfile
@@ -611,6 +612,31 @@ def test_text_format_report(tmp_path, capsys):
     assert "incorrect: 1" in out
     assert "HTML escaping in JavaScript string" in out
     assert "FLAW" in out
+
+
+def test_readme_examples_run_as_written(tmp_path, capsys):
+    """The README's one-line JSON report is what ``check`` prints for
+    its template and environment, and its Library snippet prints the
+    clean page its comment shows."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        text = handle.read()
+    source, env, report = re.search(
+        r"With the template `(.+?)` and the\s+environment `(.+?)`,"
+        r" `check --seed 0 --format json` prints:\s+```json\n(.+?)\n```",
+        text, re.S).groups()
+    template = tmp_path / "page.tpl"
+    template.write_text(source + "\n", encoding="utf-8")
+    (tmp_path / "env.json").write_text(env, encoding="utf-8")
+    assert main(["check", str(template), str(tmp_path / "env.json"),
+                 "--seed", "0", "--format", "json"]) == 1
+    assert capsys.readouterr().out == report + "\n"
+
+    snippet = re.search(r"## Library\s+```python\n(.+?)```", text, re.S)[1]
+    exec(snippet, {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-1] == re.search(r"print\(clean\) +# (.+)", snippet)[1]
 
 
 def test_exit_code_two_on_a_lone_surrogate_in_the_output(tmp_path, capsys):

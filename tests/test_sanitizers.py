@@ -6,15 +6,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ctxcheck.sanitizers import (
+    HTML_ESCAPE_ID,
     HTML_ESCAPES,
+    JS_ESCAPE_ID,
     JS_ESCAPES,
-    SANITIZERS,
+    SAFE_ID,
+    URL_ENCODE_ID,
     html_escape,
     js_escape,
     mark_safe,
     url_encode,
 )
 from ctxcheck.taint import EMPTY_TAINT, TaintedText, make_source, untainted
+
+SANITIZERS = ((HTML_ESCAPE_ID, html_escape), (JS_ESCAPE_ID, js_escape),
+              (URL_ENCODE_ID, url_encode), (SAFE_ID, mark_safe))
 
 
 def test_html_escape_angle_brackets():
@@ -115,7 +121,7 @@ def test_replacements_never_reescaped_in_one_pass():
 @given(st.frozensets(st.tuples(st.sampled_from("abc"), st.just(())), min_size=1))
 def test_every_sanitizer_appends_exactly_one_id(record):
     value = TaintedText("x", record)
-    for sanitizer_id, fn in SANITIZERS.items():
+    for sanitizer_id, fn in SANITIZERS:
         out = fn(value)
         assert len(out.taint) == len(record)
         for origin, chain in out.taint:
@@ -123,4 +129,5 @@ def test_every_sanitizer_appends_exactly_one_id(record):
 
 
 def test_sanitizer_ids_are_fixed_strings():
-    assert set(SANITIZERS) == {"html_escape", "js_escape", "url_encode", "safe"}
+    assert (HTML_ESCAPE_ID, JS_ESCAPE_ID, URL_ENCODE_ID, SAFE_ID) == (
+        "html_escape", "js_escape", "url_encode", "safe")
