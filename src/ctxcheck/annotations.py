@@ -18,8 +18,9 @@ from .taint import TaintRecord
 SinkId = str
 
 TOKEN_PREFIX = "xtnt"
-TOKEN_LENGTH = 36
-TOKEN_RE = re.compile(r"xtnt[0-9a-f]{32}")
+# The prefix and the 32 hex digits that new_token writes.
+TOKEN_LENGTH = len(TOKEN_PREFIX) + 32
+TOKEN_RE = re.compile(TOKEN_PREFIX + "[0-9a-f]{32}")
 
 
 class UnknownResidue(Exception):

@@ -96,15 +96,19 @@ from .decoders import css_unescape, entity_decode, percent_decode
 MAX_NESTING = 64
 
 _WS = r" \t\n\r\f"
-# As the URL parser reads a URL, ASCII tab and newline are removed from
-# all of it (_TAB_OR_NEWLINE) and C0 controls and spaces from its start,
-# before its scheme is read; other leading whitespace is skipped too.
-_TAB_OR_NEWLINE = dict.fromkeys(map(ord, "\t\n\r"))
-_JS_URI_RE = re.compile(r"[\x00-\x20]*\s*javascript:(.*)\Z", re.I | re.S)
-_DATA_URI_RE = re.compile(r"[\x00-\x20]*\s*data:([^,]*),(.*)\Z", re.I | re.S)
+# The schemes worth recursing into, read from a URL without its ASCII
+# tabs and newlines, as the URL parser reads it: C0 controls and spaces
+# are skipped from its start (possessively, or a long run of them would
+# be split every way between the two skips), and other leading
+# whitespace too.  A javascript: URL's body is the "js" group; a data:
+# URL is HTML when its MIME type, before any ";" and parameters
+# ("params"), is text/html between whitespace, and its body is "html".
+_SCHEME = re.compile(
+    r"[\x00-\x20]*+\s*(?:javascript:(?P<js>.*)"
+    r"|data:\s*text/html\s*(?P<params>;[^,]*)?,(?P<html>.*))\Z", re.I | re.S)
 # As Fetch's data: URL processor reads it, a body is base64 only when
-# the MIME type ends with ";", spaces and "base64" in any ASCII case,
-# before trailing ASCII whitespace.
+# the MIME type's parameters end with ";", spaces and "base64" in any
+# ASCII case, before trailing ASCII whitespace.
 _BASE64_END = re.compile(r";[ ]*base64[ \t\n\r\f]*\Z", re.I | re.A)
 _EXCERPT_MARGIN = 40
 _PREFIX_LENGTH = len(TOKEN_PREFIX)
@@ -421,17 +425,12 @@ class MissingToken(Exception):
 
 
 class ModelBrowser:
-    """One analysis pass over one document.
-
-    Collects findings for the registry's tokens and counts scanner
-    invocations, which equals the context-sequence length for a token
-    reached through a chain of single-dispatch scans.
-    """
+    """One analysis pass over one document: collects findings for the
+    registry's tokens."""
 
     def __init__(self, registry: SinkRegistry):
         self.tokens = frozenset(registry.tokens())
         self.findings: list[Finding] = []
-        self.scan_count = 0
 
     # -- shared ----------------------------------------------------------
 
@@ -538,7 +537,6 @@ class ModelBrowser:
         value on is read by ``_start_tag``; where a stride runs, it
         consumes the others.
         """
-        self.scan_count += 1
         if len(prefix) >= MAX_NESTING:
             self._classify(text, 0, len(text), prefix, BrowserContext.Unknown)
             return
@@ -632,8 +630,7 @@ class ModelBrowser:
             if TOKEN_PREFIX in value:
                 self._classify(value, 0, len(value), prefix, ctx)
         elif tag == "script" and name == "src":
-            # A script's source is fetched, not parsed: one terminal scan.
-            self.scan_count += 1
+            # A script's source is fetched, not parsed.
             self._classify(value, 0, len(value), prefix + (ctx,),
                            BrowserContext.UriScriptSrc)
         else:
@@ -653,7 +650,6 @@ class ModelBrowser:
         and the code and closed constructs before each prefix are one
         stride.
         """
-        self.scan_count += 1
         # A whole text is most often a short token-free value, which a
         # membership test turns away faster than a bounded find.
         if end is None and TOKEN_PREFIX not in text:
@@ -675,7 +671,6 @@ class ModelBrowser:
         may still need handing on once no prefix is left; from there on
         it reads only the constructs (``_CSS_TAIL``).
         """
-        self.scan_count += 1
         self._lex(text, prefix, _CSS, BrowserContext.Unknown,
                   _CSS_STRIDE, start, end, nxt, _CSS_TAIL)
 
@@ -709,48 +704,40 @@ class ModelBrowser:
         """Match a URI against the schemes worth recursing into.
 
         The scheme is read as the URL parser reads it, with tabs and
-        newlines removed and leading controls and spaces skipped, and
-        the preprocessed body is handed on: javascript: bodies are
-        percent-decoded and lexed as JavaScript; data:text/html payloads
-        are decoded and parsed as HTML.  Everything else is a plain URI,
-        classified as written.
+        newlines removed and leading controls and spaces skipped
+        (``_SCHEME``), and the preprocessed body is handed on:
+        javascript: bodies are percent-decoded and lexed as JavaScript;
+        data:text/html payloads are decoded and parsed as HTML.
+        Everything else is a plain URI, classified as written.
         """
-        self.scan_count += 1
-        # Tabs and newlines are not printable.
-        url = text if text.isprintable() else text.translate(_TAB_OR_NEWLINE)
-        match = _JS_URI_RE.match(url)
-        if match:
-            body = percent_decode(match.group(1))
-            self.js_scan(body, prefix + (BrowserContext.Uri,))
+        url = text.replace("\t", "").replace("\n", "").replace("\r", "")
+        match = _SCHEME.match(url)
+        if match is None:
+            if TOKEN_PREFIX in text:
+                self._classify(text, 0, len(text), prefix, BrowserContext.Uri)
             return
-        match = _DATA_URI_RE.match(url)
-        if match:
-            header, payload = match.group(1), match.group(2)
-            if header.split(";")[0].strip().lower() == "text/html":
-                # Fetch percent-decodes the body before base64 decoding.
-                document = percent_decode(payload)
-                if _BASE64_END.search(header):
-                    try:
-                        decoded = base64.b64decode(document, validate=False)
-                    except ValueError:
-                        self._classify(url, 0, len(url), prefix,
-                                       BrowserContext.Uri)
-                        return
-                    # Base64 decoding is destructive: a token sitting
-                    # literally in the payload would vanish with it, so
-                    # the payload keeps its URI classification.  It is
-                    # classified percent-decoded, which spells every
-                    # token the raw payload does, and those that only
-                    # percent-decoding reveals.
-                    self._classify(document, 0, len(document), prefix,
-                                   BrowserContext.Uri)
-                    document = decoded.decode("utf-8", "replace")
-                self._classify(url, 0, match.start(2), prefix,
-                               BrowserContext.Uri)
-                self.html_scan(document, prefix + (BrowserContext.Uri,))
+        if match.lastgroup == "js":
+            self.js_scan(percent_decode(match["js"]),
+                         prefix + (BrowserContext.Uri,))
+            return
+        # Fetch percent-decodes the body before base64 decoding.
+        document = percent_decode(match["html"])
+        if match["params"] and _BASE64_END.search(match["params"]):
+            try:
+                decoded = base64.b64decode(document, validate=False)
+            except ValueError:
+                self._classify(url, 0, len(url), prefix, BrowserContext.Uri)
                 return
-        if TOKEN_PREFIX in text:
-            self._classify(text, 0, len(text), prefix, BrowserContext.Uri)
+            # Base64 decoding is destructive: a token sitting literally
+            # in the payload would vanish with it, so the payload keeps
+            # its URI classification.  It is classified percent-decoded,
+            # which spells every token the raw payload does, and those
+            # that only percent-decoding reveals.
+            self._classify(document, 0, len(document), prefix,
+                           BrowserContext.Uri)
+            document = decoded.decode("utf-8", "replace")
+        self._classify(url, 0, match.start("html"), prefix, BrowserContext.Uri)
+        self.html_scan(document, prefix + (BrowserContext.Uri,))
 
 
 # The method that reads on from each group without a context, besides

@@ -72,19 +72,21 @@ def percent_decode(text: str) -> str:
 _CSS_ESCAPE_RE = re.compile(r"\\([0-9a-fA-F]{1,6})[ \t\n\r\f]?|\\(.)", re.S)
 
 
-def css_unescape(text: str) -> str:
-    """Resolve CSS backslash escapes, hex and literal."""
-
-    def _sub(match: re.Match) -> str:
-        digits, literal = match.groups()
-        if digits is not None:
-            try:
-                return chr(int(digits, 16))
-            except (ValueError, OverflowError):
-                return match.group(0)
+def _css_escape(match: re.Match) -> str:
+    digits, literal = match.groups()
+    if digits is None:
         return literal
+    code = int(digits, 16)
+    if code == 0 or 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
+        return "\ufffd"
+    return chr(code)
 
-    return _CSS_ESCAPE_RE.sub(_sub, text)
+
+def css_unescape(text: str) -> str:
+    """Resolve CSS backslash escapes, hex and literal, as CSS Syntax
+    (4.3.7) consumes them: a hex escape of zero, of a surrogate or of a
+    number past U+10FFFF is U+FFFD."""
+    return _CSS_ESCAPE_RE.sub(_css_escape, text)
 
 
 _JS_ESCAPE_RE = re.compile(

@@ -16,8 +16,8 @@ without ";" right before a token is read both with that reference kept
 and decoded.  The browser oracle takes none of
 the model's shortcuts: it decodes and scans every attribute value and
 every url() payload, where the model skips those that could reveal no
-token.  So its findings must equal the model's, and its scan_count may
-only exceed it.
+token.  So its findings must equal the model's, and the model may make
+no more scanner calls than it.
 """
 
 from __future__ import annotations
@@ -231,17 +231,12 @@ def _token_set(registry) -> frozenset:
 
 
 class ReferenceBrowser:
-    """One analysis pass over one document.
-
-    Collects findings for the given token set and counts scanner
-    invocations, which equals the context-sequence length for a token
-    reached through a chain of single-dispatch scans.
-    """
+    """One analysis pass over one document: collects findings for the
+    given token set."""
 
     def __init__(self, tokens):
         self.tokens = _token_set(tokens)
         self.findings: list[Finding] = []
-        self.scan_count = 0
 
     # -- shared ----------------------------------------------------------
 
@@ -258,7 +253,6 @@ class ReferenceBrowser:
     # -- HTML -------------------------------------------------------------
 
     def html_scan(self, text: str, prefix: ContextSequence = ()) -> None:
-        self.scan_count += 1
         prefix = tuple(prefix)
         n = len(text)
         i = 0
@@ -446,7 +440,6 @@ class ReferenceBrowser:
         Strings are terminal contexts; template literals count as
         double-quoted strings.
         """
-        self.scan_count += 1
         prefix = tuple(prefix)
         n = len(text)
         i = 0
@@ -500,7 +493,6 @@ class ReferenceBrowser:
         contexts; selector and property-name positions are Unknown.
         url(...) payloads are unescaped and handed to the URI scanner.
         """
-        self.scan_count += 1
         prefix = tuple(prefix)
         n = len(text)
         i = 0
@@ -595,7 +587,6 @@ class ReferenceBrowser:
         source URIs are terminal and keep their own context.  Everything
         else is a plain URI.
         """
-        self.scan_count += 1
         prefix = tuple(prefix)
         if script_src:
             self._classify(text, prefix, BrowserContext.UriScriptSrc)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ctxcheck.annotations import (
     TOKEN_LENGTH,
+    TOKEN_PREFIX,
     TOKEN_RE,
     RegistrationError,
     SinkRegistry,
@@ -26,10 +27,16 @@ from oracles import remove_literal_occurrences, replace_loop_strip
 def test_token_shape():
     registry = SinkRegistry(seed=0)
     token = registry.new_token()
-    assert len(token) == 36
+    assert len(token) == TOKEN_LENGTH == 36
     assert token.startswith("xtnt")
     assert TOKEN_RE.fullmatch(token)
     assert token.isalnum()
+    # The browser's str.find walk over the prefix relies on these: no
+    # prefix occurs inside a token's hex digits, and none overlaps
+    # another.
+    assert set(TOKEN_PREFIX) - set("0123456789abcdef")
+    assert not any(TOKEN_PREFIX[:n] == TOKEN_PREFIX[-n:]
+                   for n in range(1, len(TOKEN_PREFIX)))
 
 
 def test_seeded_registries_produce_identical_tokens():

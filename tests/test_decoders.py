@@ -117,7 +117,10 @@ def test_css_unescape_hex_and_literal():
 
 
 def test_css_unescape_forgiving():
-    assert css_unescape("\\FFFFFF") == "\\FFFFFF"  # beyond the last code point
+    assert css_unescape("\\FFFFFF") == "\ufffd"  # beyond the last code point
+    # As CSS Syntax reads them, zero, a surrogate and a number past
+    # U+10FFFF are U+FFFD.
+    assert css_unescape("\\0 a\\D800 b\\110000") == "\ufffda\ufffdb\ufffd"
     assert css_unescape("trailing\\") == "trailing\\"
 
 

@@ -44,8 +44,9 @@ def edge_documents() -> list[str]:
     tokens at the ends of lexer ranges, declaration-dense CSS,
     javascript: and data: URLs escaped with entities or percent signs,
     strides over 20,000 characters of a tag, a style value or a script,
-    url()s that hand their payloads on, an SVG link and a named
-    reference without its ";".
+    url()s that hand their payloads on, an SVG link, a named reference
+    without its ";", and data: and javascript: scheme and MIME type
+    forms.
     A token is registered when the document spells it whole or with its
     "x" escaped."""
     a, b, c = EDGE_CHAINS
@@ -106,6 +107,16 @@ def edge_documents() -> list[str]:
         f"<a href=\"javascript:f(&quot;a&quot{a}&quot;)\">x</a>",
         # a long inert value beside a live one, so no stride takes the tag
         f"<p title=\"{'&amp;' * 4000}\" onclick=\"f()\">{a}</p>",
+        # data: and javascript: URLs: a MIME type in any case, between
+        # whitespace, before parameters, or not text/html; a scheme in
+        # any case, or after a leading no-break space
+        *(f"<a href=\"{head}<i>{a}</i>\">x</a><iframe src=\"{head}{b}\">"
+          for head in ("DATA:TEXT/HTML,", "data: text/html ;charset=x,",
+                       "data:\xa0text/html\xa0,",
+                       "data:text/html;a=b;base64;c=d,", "data:text/html,a,",
+                       "data:text/plain;text/html,", "data:text/htmlx,",
+                       "data:text/html", "data:,text/html",
+                       "JavaScript:f('", "\xa0javascript:f('")),
     ]
 
 # Runs in the child: SRC RUNS OUT.  One JSON line per run in OUT:
