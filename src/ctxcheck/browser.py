@@ -38,14 +38,14 @@ whose branches open with a group or a class, and tries every branch at
 every character instead.  The loop carries the position of the next
 token prefix, so a token-free range costs an integer comparison, not a
 classification, and a classification walks the range from one prefix
-to the next with ``str.find``.  Script and style text is lexed in
-place, as a window of the page, and the HTML level hands its next
-prefix position on, so each raw-text byte is searched for the prefix
-once; ``_lex`` searches the window only when that position lies before
-it.  A script without a prefix is not lexed at all, and a style
-without one is read by the constructs only.  Tag names, attribute
-names, plain attribute values and plain URIs are classified only when
-they hold the prefix.
+to the next with ``str.find``.  Each script and style body goes to
+its scanner as its own string, with the HTML level's next prefix
+position made relative to it, so each raw-text character is searched
+for the prefix once; ``_lex`` searches the body only when that
+position lies before it.  A script without a prefix is not lexed at
+all, and a style without one is read by the constructs only.  Tag
+names, attribute names, plain attribute values and plain URIs are
+classified only when they hold the prefix.
 
 Each step first consumes, with one match, a stride, all it can of the
 text up to the next token prefix (or up to the end, once none is left)
@@ -98,14 +98,13 @@ MAX_NESTING = 64
 _WS = r" \t\n\r\f"
 # The schemes worth recursing into, read from a URL without its ASCII
 # tabs and newlines, as the URL parser reads it: C0 controls and spaces
-# are skipped from its start (possessively, or a long run of them would
-# be split every way between the two skips), and other leading
-# whitespace too.  A javascript: URL's body is the "js" group; a data:
-# URL is HTML when its MIME type, before any ";" and parameters
-# ("params"), is text/html between whitespace, and its body is "html".
+# are skipped from its start, and no other whitespace.  A javascript:
+# URL's body is the "js" group; a data: URL is HTML when its MIME type,
+# before any ";" and parameters ("params"), is text/html between ASCII
+# whitespace, as Fetch trims it, and its body is "html".
 _SCHEME = re.compile(
-    r"[\x00-\x20]*+\s*(?:javascript:(?P<js>.*)"
-    r"|data:\s*text/html\s*(?P<params>;[^,]*)?,(?P<html>.*))\Z", re.I | re.S)
+    rf"[\x00-\x20]*+(?:javascript:(?P<js>.*)|data:[{_WS}]*text/html[{_WS}]*"
+    r"(?P<params>;[^,]*)?,(?P<html>.*))\Z", re.I | re.S)
 # As Fetch's data: URL processor reads it, a body is base64 only when
 # the MIME type's parameters end with ";", spaces and "base64" in any
 # ASCII case, before trailing ASCII whitespace.
@@ -460,38 +459,30 @@ class ModelBrowser:
                 at = find(TOKEN_PREFIX, at + _PREFIX_LENGTH, hi)
 
     def _lex(self, text: str, prefix: ContextSequence, table: re.Pattern,
-             default: BrowserContext, stride: re.Pattern, pos: int,
-             end: int | None, nxt: int,
+             default: BrowserContext, stride: re.Pattern, nxt: int,
              tail: tuple[re.Pattern, re.Pattern] | None) -> None:
-        """Classify ``text[pos:end]`` with a lexer table, from ``table``;
-        an ``end`` of None is the end of the text.
+        """Classify ``text`` with a lexer table, from ``table``.
 
         Text between matches gets ``default`` and each match's group
-        text the group's context.  ``nxt`` is the first token prefix at
-        or after ``pos``, as a caller that has searched for it hands it
-        on; if it lies before ``pos``, the window is searched for one.
-        A prefix past ``end``, or one that straddles it, counts as none,
-        and ``nxt`` is then ``end``.  It guards each range; a prefix
+        text the group's context.  ``nxt`` is the first token prefix in
+        the text, as a caller that has searched for it hands it on; if
+        it is negative, the text is searched for one.  A prefix past the
+        end, or one that straddles it, counts as none, and ``nxt`` is
+        then the text's length.  It guards each range; a prefix
         that straddles a range's end costs a classification that finds
         nothing.  A group without a context is read by its reader
         (``_READER``), which is handed ``nxt``, except ``css_punct``,
         whose character picks the table, default and stride that follow
         (``_NEXT``).  Once no prefix is left, lexing stops if ``tail``
-        is None and otherwise goes on to ``end`` with the table and
+        is None and otherwise goes on to the end with the table and
         stride in ``tail``.  Each step whose ``nxt`` (or end) lies more
         than ``_SHORT_RANGE`` characters ahead first strides as far as
         it can before it with ``stride``, a pattern that ends only where
         a table match ends, in the state the step started in.
-
-        Every search, find and stride is bounded by ``end``, so a window
-        of a text lexes as its copy would.  That holds because no lexer
-        pattern uses "^", ``\\A``, ``\\b``, ``\\B`` or a lookbehind,
-        which would look outside the window.
         """
-        if end is None:
-            end = len(text)
-        if nxt < pos:
-            nxt = text.find(TOKEN_PREFIX, pos, end)
+        pos, end = 0, len(text)
+        if nxt < 0:
+            nxt = text.find(TOKEN_PREFIX)
         if not 0 <= nxt <= end - _PREFIX_LENGTH:
             nxt = end
         while True:
@@ -501,12 +492,12 @@ class ModelBrowser:
                 table, stride = tail
             if nxt - pos > _SHORT_RANGE:
                 pos = stride.match(text, pos, nxt).end()
-            if (match := table.search(text, pos, end)) is None:
+            if (match := table.search(text, pos)) is None:
                 break
             start = match.start()
             if nxt < start:
                 self._classify(text, pos, start, prefix, default)
-                if (nxt := text.find(TOKEN_PREFIX, start, end)) < 0:
+                if (nxt := text.find(TOKEN_PREFIX, start)) < 0:
                     nxt = end
             group = match.lastgroup
             if (ctx := _CONTEXT.get(group)) is not None:
@@ -521,7 +512,7 @@ class ModelBrowser:
                 pos = match.end()
             else:
                 pos = _READER[group](self, text, match, prefix, nxt)
-            if nxt < pos and (nxt := text.find(TOKEN_PREFIX, pos, end)) < 0:
+            if nxt < pos and (nxt := text.find(TOKEN_PREFIX, pos)) < 0:
                 nxt = end
         if nxt < end:
             self._classify(text, pos, end, prefix, default)
@@ -541,7 +532,7 @@ class ModelBrowser:
             self._classify(text, 0, len(text), prefix, BrowserContext.Unknown)
             return
         self._lex(text, prefix, _HTML, BrowserContext.HtmlText, _HTML_STRIDE,
-                  0, None, -1, (_HTML, _HTML_STRIDE))
+                  -1, (_HTML, _HTML_STRIDE))
 
     def _start_tag(self, text: str, tag_match: re.Match,
                    prefix: ContextSequence, nxt: int) -> int:
@@ -556,10 +547,10 @@ class ModelBrowser:
         hand nothing on, unless a token prefix was too close to stride.
         A value with a named reference without ";" right before a token
         prefix is read twice (see ``_LEGACY_BEFORE_TOKEN``).
-        Raw text is handed to its scanner in place, as a window of
-        ``text``, with ``nxt``, the HTML level's first token prefix at or
-        after the tag, which the scanner searches for again only if it
-        lies before the window.
+        Raw text is handed to its scanner as its own string, with
+        ``nxt``, the HTML level's first token prefix at or after the
+        tag, made relative to it: the scanner searches for a prefix
+        again only if that lies before the raw text.
         """
         tag = tag_match["start_tag"]
         if TOKEN_PREFIX in tag:
@@ -618,7 +609,7 @@ class ModelBrowser:
         close = _RAW_TEXT_END[tag].search(text, start)
         end = len(text) if close is None else close.start()
         scanner, ctx = _ELEMENTS[tag]
-        getattr(self, scanner)(text, prefix + (ctx,), start, end, nxt)
+        getattr(self, scanner)(text[start:end], prefix + (ctx,), nxt - start)
         return end
 
     def _value(self, tag: str, name: str, scanner: str | None, value: str,
@@ -639,40 +630,38 @@ class ModelBrowser:
     # -- JavaScript --------------------------------------------------------
 
     def js_scan(self, text: str, prefix: ContextSequence = (),
-                start: int = 0, end: int | None = None, nxt: int = -1) -> None:
+                nxt: int = -1) -> None:
         """Lex far enough to tell code, strings and comments apart.
 
-        Scans ``text[start:end]`` in place (all of it by default), from
-        ``nxt``, the first token prefix at or after ``start`` if the
-        caller has searched for it (see ``_lex``).  Nothing in a script
-        is decoded or handed on, so lexing stops once it has passed the
+        Takes ``nxt``, the first token prefix in ``text`` if the caller
+        has searched for it (see ``_lex``).  Nothing in a script is
+        decoded or handed on, so lexing stops once it has passed the
         last token prefix (a script without one is not lexed at all),
         and the code and closed constructs before each prefix are one
         stride.
         """
-        # A whole text is most often a short token-free value, which a
-        # membership test turns away faster than a bounded find.
-        if end is None and TOKEN_PREFIX not in text:
+        # An unsearched text is most often a short token-free value,
+        # which a membership test turns away faster than _lex.
+        if nxt < 0 and TOKEN_PREFIX not in text:
             return
         self._lex(text, prefix, _JS, BrowserContext.JsCode,
-                  _JS_STRIDE, start, end, nxt, None)
+                  _JS_STRIDE, nxt, None)
 
     # -- CSS ----------------------------------------------------------------
 
     def css_scan(self, text: str, prefix: ContextSequence = (),
-                 start: int = 0, end: int | None = None, nxt: int = -1) -> None:
+                 nxt: int = -1) -> None:
         """Lex a declaration list or stylesheet fragment to its end.
 
-        Scans ``text[start:end]`` in place, and takes ``nxt``, as
-        ``js_scan`` does.  Tokens in declaration values, strings and
-        comments get their own contexts; selector and property-name
-        positions are Unknown.  Lexing starts outside a declaration
-        value, with ``_CSS``, and runs to the end, since a url() payload
-        may still need handing on once no prefix is left; from there on
-        it reads only the constructs (``_CSS_TAIL``).
+        Takes ``nxt`` as ``js_scan`` does.  Tokens in declaration
+        values, strings and comments get their own contexts; selector
+        and property-name positions are Unknown.  Lexing starts outside
+        a declaration value, with ``_CSS``, and runs to the end, since a
+        url() payload may still need handing on once no prefix is left;
+        from there on it reads only the constructs (``_CSS_TAIL``).
         """
         self._lex(text, prefix, _CSS, BrowserContext.Unknown,
-                  _CSS_STRIDE, start, end, nxt, _CSS_TAIL)
+                  _CSS_STRIDE, nxt, _CSS_TAIL)
 
     def _css_url(self, text: str, match: re.Match,
                  prefix: ContextSequence, nxt: int) -> int:

@@ -100,20 +100,22 @@ _JS_SIMPLE_ESCAPES = {
 }
 
 
+def _js_escape(match: re.Match) -> str:
+    braced, u4, x2, literal = match.groups()
+    digits = braced or u4 or x2
+    if digits is not None:
+        # At most six hex digits: chr refuses only a number past
+        # U+10FFFF, which stays as written.
+        try:
+            return chr(int(digits, 16))
+        except ValueError:
+            return match.group(0)
+    if literal in ("u", "x"):
+        # Incomplete hex escape; leave it verbatim.
+        return match.group(0)
+    return _JS_SIMPLE_ESCAPES.get(literal, literal)
+
+
 def js_string_decode(text: str) -> str:
     """Resolve JavaScript string escapes (\\xHH, \\uHHHH, \\u{...}, simple)."""
-
-    def _sub(match: re.Match) -> str:
-        braced, u4, x2, literal = match.groups()
-        digits = braced or u4 or x2
-        if digits is not None:
-            try:
-                return chr(int(digits, 16))
-            except (ValueError, OverflowError):
-                return match.group(0)
-        if literal in ("u", "x"):
-            # Incomplete hex escape; leave it verbatim.
-            return match.group(0)
-        return _JS_SIMPLE_ESCAPES.get(literal, literal)
-
-    return _JS_ESCAPE_RE.sub(_sub, text)
+    return _JS_ESCAPE_RE.sub(_js_escape, text)

@@ -219,8 +219,8 @@ URI_ATTRIBUTES = frozenset(
 _WS = " \t\n\r\f"
 _TAG_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9:_-]*")
 _COMMENT_END_RE = re.compile(r"--!?>")
-_JS_URI_RE = re.compile(r"\s*javascript:(.*)\Z", re.I | re.S)
-_DATA_URI_RE = re.compile(r"\s*data:([^,]*),(.*)\Z", re.I | re.S)
+_JS_URI_RE = re.compile(r"javascript:(.*)\Z", re.I | re.S)
+_DATA_URI_RE = re.compile(r"data:([^,]*),(.*)\Z", re.I | re.S)
 _EXCERPT_MARGIN = 40
 # The named references that may go without ";".
 _LEGACY_NAMES = [name for name in html.entities.html5 if name[-1] != ";"]
@@ -609,7 +609,7 @@ class ReferenceBrowser:
             # is percent-decoded first.
             _, semicolon, last = header.rpartition(";")
             last = last.rstrip(" \t\n\r\f").lstrip(" ")
-            parts = [p.strip().lower() for p in header.split(";")]
+            parts = [p.strip(_WS).lower() for p in header.split(";")]
             if parts[0] == "text/html":
                 if semicolon and last.lower() == "base64":
                     try:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import base64
 import contextlib
 import random
+import sys
 import time
 import tracemalloc
 from unittest import mock
@@ -343,21 +344,21 @@ def test_uri_scan_positions():
     *[(uri, (C.Uri, C.HtmlText)) for uri in (
         "DATA:TEXT/HTML,<i>{}</i>",
         "data: text/html ;charset=x,<i>{}</i>",
-        "data:\xa0text/html\xa0,<i>{}</i>",
         "data:text/html;a=b;base64;c=d,<i>{}</i>",
         "data:text/html,a,<i>{}</i>")],
     *[(uri, (C.Uri,)) for uri in (
         "data:text/plain;text/html,<i>{}</i>",
         "data:text/htmlx,<i>{}</i>",
         "data:text/html<i>{}</i>",
-        "data:,text/html<i>{}</i>")],
+        "data:,text/html<i>{}</i>",
+        "data:\xa0text/html\xa0,<i>{}</i>",
+        "\xa0javascript:f('{}')")],
     ("JavaScript:f('{}')", (C.Uri, C.JsStringSq)),
-    ("\xa0javascript:f('{}')", (C.Uri, C.JsStringSq)),
 ])
 def test_uri_scan_reads_a_scheme_as_the_reference_browser(uri, context):
-    # The MIME type is text/html in any case, between any whitespace,
-    # before the first "," and any parameters; a leading space that is
-    # not a C0 one is skipped too.
+    # The MIME type is text/html in any case, between ASCII whitespace
+    # only, before the first "," and any parameters; a leading space
+    # that is not a C0 one starts no scheme.
     registry, token = _registry_with_token()
     reference = ReferenceBrowser(registry)
     reference.uri_scan(uri.format(token), ())
@@ -773,33 +774,37 @@ def test_scanners_match_the_reference_browser(pieces, short):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(st.sampled_from(FRAGMENTS), min_size=1, max_size=60),
-       st.data(), st.booleans(), st.integers(min_value=0, max_value=64))
-def test_a_window_scans_as_its_copy(pieces, data, handed, short):
-    """js_scan and css_scan read raw text in place, as a window
-    ``text[start:end]`` of the page: each gives the findings, excerpts
-    included, and the scanner calls of a scan of the window's copy.
-    The bounds fall anywhere, inside a construct or a token too.  When
-    ``handed``, the scanner gets the first token prefix at or after the
-    window's start in the whole text, as the HTML level hands it on,
-    which may lie in the window, straddle its end or lie past it.  No
+@given(st.lists(st.sampled_from(FRAGMENTS)
+                | st.sampled_from(_REFERENCE_TOKENS), min_size=1, max_size=60),
+       st.data(), st.integers(min_value=0, max_value=64))
+def test_a_handed_position_scans_as_a_search(pieces, data, short):
+    """js_scan and css_scan give a body ``text[start:end]`` the same
+    findings, excerpts included, and the same scanner calls whether
+    they are handed the HTML level's next token prefix, made relative
+    to the body, or search for it themselves.  That position is the
+    first prefix at or after a point at or before ``start``, as where a
+    start tag opens: it may lie before the body (a negative position),
+    in it, straddle its end or lie past it.  Half the pieces are
+    registered tokens, so that a body past a prefix often holds one.
+    The bounds fall anywhere, inside a construct or a token too.  No
     stride runs over a range of at most ``short`` characters."""
     text = "".join(pieces)
     start = data.draw(st.integers(min_value=0, max_value=len(text)))
     end = data.draw(st.integers(min_value=start, max_value=len(text)))
-    nxt = -1
-    if handed and (nxt := text.find("xtnt", start)) < 0:
+    point = data.draw(st.integers(min_value=0, max_value=start))
+    if (nxt := text.find("xtnt", point)) < 0:
         nxt = len(text)
+    body = text[start:end]
     for kind in ("js", "css"):
-        window = ModelBrowser(_REFERENCE_REGISTRY)
-        copy = ModelBrowser(_REFERENCE_REGISTRY)
+        handed = ModelBrowser(_REFERENCE_REGISTRY)
+        searched = ModelBrowser(_REFERENCE_REGISTRY)
         with mock.patch.object(browser_module, "_SHORT_RANGE", short):
-            with _scan_calls(ModelBrowser) as window_calls:
-                getattr(window, f"{kind}_scan")(text, (), start, end, nxt)
-            with _scan_calls(ModelBrowser) as copy_calls:
-                getattr(copy, f"{kind}_scan")(text[start:end], ())
-        assert window.findings == copy.findings, kind
-        assert window_calls == copy_calls, kind
+            with _scan_calls(ModelBrowser) as handed_calls:
+                getattr(handed, f"{kind}_scan")(body, (), nxt - start)
+            with _scan_calls(ModelBrowser) as searched_calls:
+                getattr(searched, f"{kind}_scan")(body, ())
+        assert handed.findings == searched.findings, kind
+        assert handed_calls == searched_calls, kind
 
 
 # Script and style text like that of the benchmark's script-heavy pages;
@@ -950,6 +955,30 @@ def test_scanner_memory_stays_within_twice_the_input(name):
             tracemalloc.stop()
         assert [f.token for f in browser.findings] == [token], kind
         assert peak < 2 * len(text), kind
+
+
+@pytest.mark.parametrize("tag, code", [("script", "var a = 1;\n"),
+                                       ("style", "a{b:c}\n")])
+@pytest.mark.parametrize("wide", [False, True], ids=["ascii", "wide"])
+def test_raw_text_costs_one_copy(tag, code, wide):
+    """html_scan reads a <script> or <style> of 250 KB or more, with a
+    token at its end, holding less than twice the input's size in bytes
+    at the peak (tracemalloc): the body's copy is the one allocation in
+    proportion to it.  A copy takes the text's width, so a body with one
+    character outside Latin-1 costs two bytes a character."""
+    registry, token = _registry_with_token()
+    body = code * (250_000 // len(code) + 1) + ("\u2192" if wide else "")
+    text = f"<{tag}>{body}{token}</{tag}>"
+    browser = ModelBrowser(registry)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        browser.html_scan(text, ())
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert [f.token for f in browser.findings] == [token]
+    assert peak < 2 * sys.getsizeof(text)
 
 
 def test_a_stride_reads_a_long_inert_tag_whole():

@@ -45,8 +45,9 @@ def edge_documents() -> list[str]:
     javascript: and data: URLs escaped with entities or percent signs,
     strides over 20,000 characters of a tag, a style value or a script,
     url()s that hand their payloads on, an SVG link, a named reference
-    without its ";", and data: and javascript: scheme and MIME type
-    forms.
+    without its ";", data: and javascript: scheme and MIME type forms,
+    and script and style bodies whose next token prefix lies in their
+    tag, after a wide character, past an unclosed end or after them.
     A token is registered when the document spells it whole or with its
     "x" escaped."""
     a, b, c = EDGE_CHAINS
@@ -117,6 +118,14 @@ def edge_documents() -> list[str]:
                        "data:text/plain;text/html,", "data:text/htmlx,",
                        "data:text/html", "data:,text/html",
                        "JavaScript:f('", "\xa0javascript:f('")),
+        # raw text handed the HTML level's next token prefix: one in the
+        # tag before it, one after a character outside Latin-1, one in a
+        # script the end of the page closes, and one after the body
+        f"<script title=\"{a}\">var s='{b}';</script>",
+        f"<style title=\"{a}\">p{{c:'{b}'}}</style>",
+        f"<script>var s='\u2192{a}';</script>",
+        f"<p>{a}</p><script>var s='{b}';",
+        f"<script>var s=1;</script>{a}",
     ]
 
 # Runs in the child: SRC RUNS OUT.  One JSON line per run in OUT:
