@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import re
+from itertools import repeat
 from typing import NamedTuple
 
 from .taint import TaintRecord
@@ -18,7 +19,7 @@ from .taint import TaintRecord
 SinkId = str
 
 TOKEN_PREFIX = "xtnt"
-# The prefix and the 32 hex digits that new_token writes.
+# The prefix and the 32 hex digits of each drawn token.
 TOKEN_LENGTH = len(TOKEN_PREFIX) + 32
 TOKEN_RE = re.compile(TOKEN_PREFIX + "[0-9a-f]{32}")
 
@@ -43,7 +44,7 @@ class SinkRegistry:
 
     One registry per rendered document; registries are not shared across
     concurrent renders.  Pass a seed to make token generation
-    reproducible.  The generator is made by the first ``new_token``:
+    reproducible.  The generator is made by the first draw:
     seeding it from the operating system's entropy takes about 15 µs,
     and a registry read from a bundle never draws a token.
     """
@@ -73,26 +74,39 @@ class SinkRegistry:
     def items(self):
         return self._entries.items()
 
-    def new_token(self) -> str:
+    def _draw(self, count: int) -> list[str]:
+        """The ``count`` unused tokens that as many single draws give, from
+        one draw cut into 32-digit chunks, lowest first.  A chunk registered
+        or drawn already is skipped, and the shortfall is drawn again."""
         if self._rng is None:
             self._rng = random.Random(self._seed)
-        while True:
-            token = TOKEN_PREFIX + "%032x" % self._rng.getrandbits(128)
-            if token not in self._entries:
-                return token
+        entries, drawn = self._entries, {}
+        while (short := count - len(drawn)) > 0:
+            bits = self._rng.getrandbits(128 * short)
+            digits = bits.to_bytes(16 * short, "big").hex()
+            for at in range(32 * short - 32, -1, -32):
+                if (token := TOKEN_PREFIX + digits[at:at + 32]) not in entries:
+                    drawn[token] = None
+        return list(drawn)
+
+    def new_token(self) -> str:
+        return self._draw(1)[0]
 
     def register(self, taint: TaintRecord, sink: SinkId) -> str:
-        """Create a fresh token for a tainted value reaching a sink.
+        """Create a fresh token for a tainted value reaching a sink."""
+        return self.register_all([frozenset(taint)], [sink])[0]
 
-        ``new_token`` makes a well-formed, unused token, so only the
-        taint is checked here; ``add`` checks all of an outside token.
-        """
-        token = self.new_token()
-        if not taint:
+    def register_all(self, taints: list[TaintRecord],
+                     sinks: list[SinkId]) -> list[str]:
+        """Register each frozenset taint, with the sink at its index, under
+        a fresh token from one draw; return the tokens.  Drawn tokens are
+        well formed and unused, so only the taints are checked here."""
+        if not all(taints):
             raise RegistrationError("refusing to register an untainted value")
-        self._entries[token] = tuple.__new__(
-            RegistryEntry, (frozenset(taint), sink))
-        return token
+        tokens = self._draw(len(taints)) if taints else []
+        self._entries.update(zip(tokens, map(tuple.__new__, repeat(
+            RegistryEntry), zip(taints, sinks, strict=True))))
+        return tokens
 
     def add(self, token: str, taint: TaintRecord, sink: SinkId) -> None:
         """Insert an entry under an externally supplied token."""

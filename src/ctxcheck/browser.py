@@ -145,10 +145,11 @@ def _block_comment(group: str | None) -> str:
 
 
 def _line_comment(group: str | None) -> str:
-    """A // comment up to, not including, the end of its line."""
+    """A // comment up to, not including, a LineTerminator (LF, CR, U+2028,
+    U+2029).  A stride reads printable ASCII first: sre does so faster."""
     if group is None:
-        return r"//[^\n]*(?=\n)"
-    return rf"//(?P<{group}>[^\n]*)"
+        return r"//[ -~]*+[^\n\r\u2028\u2029]*(?=[\n\r\u2028\u2029])"
+    return rf"//(?P<{group}>[^\n\r\u2028\u2029]*)"
 
 
 def _js_constructs(closed: bool) -> list[str]:
@@ -447,13 +448,17 @@ class ModelBrowser:
         find, tokens = text.find, self.tokens
         last = hi - TOKEN_LENGTH
         at = find(TOKEN_PREFIX, lo, hi)
+        context = ()
         while 0 <= at <= last:
             token = text[at:at + TOKEN_LENGTH]
             if token in tokens:
-                excerpt = text[max(lo, at - _EXCERPT_MARGIN):
-                               min(hi, at + TOKEN_LENGTH + _EXCERPT_MARGIN)]
+                context = context or prefix + (ctx,)
+                start = at - _EXCERPT_MARGIN
+                stop = at + TOKEN_LENGTH + _EXCERPT_MARGIN
+                excerpt = text[start if start > lo else lo:
+                               stop if stop < hi else hi]
                 self.findings.append(
-                    tuple.__new__(Finding, (token, prefix + (ctx,), excerpt)))
+                    tuple.__new__(Finding, (token, context, excerpt)))
                 at = find(TOKEN_PREFIX, at + TOKEN_LENGTH, hi)
             else:
                 at = find(TOKEN_PREFIX, at + _PREFIX_LENGTH, hi)

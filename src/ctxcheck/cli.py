@@ -69,8 +69,10 @@ _REPORT_JSON = ('{"summary": {"sanitizations": %d, "correct": %d,'
                 ' "incorrect": %d}, "findings": [%s], "patterns": {%s},'
                 ' "verdicts": [%s], "clean_document": ')
 _FINDING_JSON = '{"token": "%s", "context": %s, "excerpt": %s}'
-_VERDICT_JSON = ('{"token": "%s", "origin": %s, "chain": %s, "sink": %s,'
-                 ' "context": %s, "sufficient": %s, "pattern": %s}')
+_VERDICT_HEAD = '", "origin": %s, "chain": [%s], "sink": '
+_VERDICT_TAIL = ', "context": %s, "sufficient": %s, "pattern": %s}'
+_OUTCOMES = {None: ("true", "null"),
+             **{p: ("false", f'"{p.value}"') for p in BugPattern}}
 
 
 def _report_json(findings, verdicts: list[Verdict], summary: ReportSummary,
@@ -81,26 +83,29 @@ def _report_json(findings, verdicts: list[Verdict], summary: ReportSummary,
     in order never copies it into a second string.  Strings from input
     go through the C encoder json.dumps uses; tokens are hex, and
     context and pattern names identifiers.  Each distinct context
-    sequence, chain and pattern is encoded once; every verdict's
-    context is a finding's."""
+    sequence is encoded once.  A verdict is its token between a lead and
+    a head, encoded once per (origin, chain), then its sink and a tail,
+    encoded once per (context, pattern); its context is a finding's."""
     quote = encode_basestring_ascii
     contexts = {ctx: "[%s]" % ", ".join(map(quote, sequence_names(ctx)))
                 for ctx in {f.context for f in findings}}
-    chains = {chain: "[%s]" % ", ".join(map(quote, chain))
-              for chain in {v.triple.chain for v in verdicts}}
-    outcomes = {None: ("true", "null"),
-                **{p: ("false", f'"{p.value}"') for p in BugPattern}}
+    heads, tails, pieces, lead = {}, {}, [], '{"token": "'
+    for token, (origin, chain, sink), context, pattern in verdicts:
+        if (head := heads.get(key := (origin, chain))) is None:
+            head = heads[key] = _VERDICT_HEAD % (
+                quote(origin), ", ".join(map(quote, chain)))
+        if (tail := tails.get(key := (context, pattern))) is None:
+            tail = tails[key] = _VERDICT_TAIL % (contexts[context],
+                                                 *_OUTCOMES[pattern])
+        pieces += (lead, token, head, quote(sink), tail)
+        lead = ', {"token": "'
     return _REPORT_JSON % (
         summary.sanitizations, summary.correct, summary.incorrect,
         ", ".join([_FINDING_JSON % (token, contexts[context], quote(excerpt))
                    for token, context, excerpt in findings]),
         ", ".join([f'"{p.value}": {count}'
                    for p, count in summary.pattern_counts.items()]),
-        ", ".join([_VERDICT_JSON % (token, quote(origin), chains[chain],
-                                    quote(sink), contexts[context],
-                                    *outcomes[pattern])
-                   for token, (origin, chain, sink), context, pattern
-                   in verdicts])), quote(clean_document), "}"
+        "".join(pieces)), quote(clean_document), "}"
 
 
 def _report_text(verdicts: list[Verdict], summary: ReportSummary) -> str:

@@ -14,7 +14,7 @@ import re
 from collections.abc import Mapping
 from typing import Any, NamedTuple, Union
 
-from .annotations import SinkId, SinkRegistry, emit_to_sink
+from .annotations import SinkId, SinkRegistry
 from .sanitizers import html_escape, js_escape, mark_safe, url_encode
 from .taint import (
     TaintedText,
@@ -145,26 +145,30 @@ def render(template: Template, env: Environment, *,
     spells a token keeps it.
     """
     registry = SinkRegistry(seed=seed)
-    out: list[str] = []
-    clean: list[str] = []
-    # (path, filters) -> the escaped value.  Values are immutable, so
-    # each distinct expansion is resolved and filtered once per call;
-    # every sink still gets its own token and registry entry.
-    values: dict[tuple[tuple[str, ...], tuple[str, ...]], TaintedText] = {}
+    # The clean pieces, and where each tainted one is with its taint and
+    # sink.  Values are immutable, so each distinct path is resolved, and
+    # each (path, filters) filtered to (text, taint), once per call.
+    clean, at, taints, sinks, leaves, values = [], [], [], [], {}, {}
     for node in template.nodes:
         if isinstance(node, Literal):
-            out.append(node.text)
             clean.append(node.text)
             continue
-        key = (node.path, node.filters)
-        value = values.get(key)
-        if value is None:
-            value = resolve_path(env, node.path, mode=mode)
+        if (value := values.get(key := (node.path, node.filters))) is None:
+            if (leaf := leaves.get(node.path)) is None:
+                leaf = leaves[node.path] = resolve_path(env, node.path,
+                                                        mode=mode)
             for name in node.filters:
-                value = FILTERS[name](value)
-            if not value.safe_marked:
-                value = html_escape(value)
-            values[key] = value
-        emit_to_sink(value, node.site, out, registry)
-        clean.append(value.text)
+                leaf = FILTERS[name](leaf)
+            if not leaf.safe_marked:
+                leaf = html_escape(leaf)
+            value = values[key] = (leaf.text, leaf.taint)
+        text, taint = value
+        if taint:
+            at.append(len(clean))
+            taints.append(taint)
+            sinks.append(node.site)
+        clean.append(text)
+    out = clean.copy()
+    for i, token in zip(at, registry.register_all(taints, sinks)):
+        out[i] = token + out[i]
     return "".join(out), registry, "".join(clean)

@@ -341,6 +341,17 @@ SNIPPETS = [
                 ("HtmlScriptData", "JsComment")),
     SnippetCase("script-block-comment", "<script>/* @T@ */</script>",
                 ("HtmlScriptData", "JsComment")),
+    # A // comment ends at any ECMAScript LineTerminator, so each value
+    # sits in the block comment that follows it.
+    SnippetCase("script-line-comment-ends-at-ls",
+                "<script>// note\u2028 /*\nvar s = '@T@'; // */</script>",
+                ("HtmlScriptData", "JsComment")),
+    SnippetCase("script-line-comment-ends-at-cr",
+                "<script>// note\r /*\nvar s = '@T@'; // */</script>",
+                ("HtmlScriptData", "JsComment")),
+    SnippetCase("event-handler-line-comment-ends-at-ls",
+                "<button onclick=\"// x&#x2028; /*&#10;go('@T@') // */\">",
+                ("HtmlAttrDq", "JsComment")),
     SnippetCase("event-handler-sq-in-dq", "<div onclick=\"f('@T@')\">",
                 ("HtmlAttrDq", "JsStringSq")),
     SnippetCase("event-handler-dq-in-sq", "<div onmouseover='x = \"@T@\"'>",

@@ -469,8 +469,9 @@ class ReferenceBrowser:
                 continue
             if ch == "/" and text.startswith("//", i):
                 flush_code(i)
-                end = text.find("\n", i + 2)
-                end = n if end == -1 else end
+                end = i + 2
+                while end < n and text[end] not in "\n\r\u2028\u2029":
+                    end += 1
                 self._classify(text[i + 2:end], prefix, BrowserContext.JsComment)
                 i = seg = end
                 continue

@@ -4,7 +4,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxcheck.annotations import (
@@ -53,6 +53,52 @@ def test_a_registry_draws_its_tokens_from_a_generator_made_when_first_needed():
         registry.add("xtnt" + "0" * 32, frozenset({("o", ())}), "s")
     drawn = [registry.new_token() for _ in range(3)]
     assert drawn == ["xtnt%032x" % rng.getrandbits(128) for _ in range(3)]
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**64), st.integers(0, 40))
+def test_a_render_draws_the_tokens_successive_single_draws_give(seed, count):
+    # One draw for every sink of a render, cut into chunks, gives the
+    # tokens that one draw per sink gives.
+    template = parse_template("<p>{{a}}</p>{{b|escapejs}}" * count + "x")
+    _, registry, _ = render(template, {"a": "1", "b": "2"}, seed=seed)
+    single = SinkRegistry(seed=seed)
+    assert registry.tokens() == tuple(single.new_token()
+                                      for _ in range(2 * count))
+
+
+class _RepeatingBits:
+    """A generator whose successive 128-bit draws are ``chunks``, so a
+    wider draw holds the first of them in its lowest bits."""
+
+    def __init__(self, chunks):
+        self.chunks = list(chunks)
+        self.calls = []
+
+    def getrandbits(self, bits):
+        self.calls.append(bits)
+        count = bits // 128
+        taken, self.chunks = self.chunks[:count], self.chunks[count:]
+        return sum(chunk << (128 * j) for j, chunk in enumerate(taken))
+
+
+def test_a_draw_skips_registered_and_repeated_chunks_and_draws_again():
+    # Chunk 1 is registered and chunk 2 repeats, so the draw of three
+    # comes up two short and then one short, and gives what single
+    # registrations give.
+    taints, sinks = [frozenset({("o", ())})] * 3, ["s0", "s1", "s2"]
+    drawn, fakes = [], []
+    for register in (lambda registry: registry.register_all(taints, sinks),
+                     lambda registry: list(map(registry.register, taints,
+                                               sinks))):
+        fakes.append(_RepeatingBits([1, 2, 2, 1, 3, 4]))
+        with mock.patch.object(random, "Random", return_value=fakes[-1]):
+            registry = SinkRegistry(seed=5)
+            registry.add("xtnt%032x" % 1, frozenset({("o", ())}), "s")
+            drawn.append(register(registry))
+    assert drawn[0] == drawn[1] == ["xtnt%032x" % n for n in (2, 3, 4)]
+    assert fakes[0].calls == [3 * 128, 2 * 128, 128]
+    assert fakes[1].calls == [128] * 6
 
 
 def test_emit_untainted_appends_text_only():

@@ -733,7 +733,7 @@ FRAGMENTS = (
     # MIME type), whitespace
     "javascript:", "data:text/html,", "data:text/html;base64,", "aGk=",
     "data:text/html;base64;x,", "DATA:TEXT/HTML,", "data: text/html ;x=y,",
-    "&quot;", "&#39;", "%27", "%22", "\n", "\t", " ", "a",
+    "&quot;", "&#39;", "%27", "%22", "\n", "\r", "\u2028", "\t", " ", "a",
     # references without ";", which a token's letter keeps as written
     "&quot", "&lt", "&notin",
     # registered tokens, and an unregistered one

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from ctxcheck import cli as cli_module
 from ctxcheck.annotations import SinkRegistry
 from ctxcheck.browser import analyze
+from ctxcheck.bundle import dump_bundle
 from ctxcheck.cli import _report_json, main
 from ctxcheck.contexts import BrowserContext, Finding, sequence_names
 from ctxcheck.template import parse_template, render
@@ -266,14 +267,20 @@ def _reports(draw):
         Finding, _TOKENS,
         st.lists(st.sampled_from(BrowserContext), max_size=3).map(tuple),
         _AWKWARD_TEXT), max_size=4))
+    # Origins, chains and patterns come from small pools, so verdicts
+    # share a head (origin, chain) or a tail (context, pattern) with
+    # another verdict and differ in the rest.
+    def pool(strategy):
+        return st.sampled_from(draw(st.lists(strategy, min_size=1,
+                                             max_size=3)))
     verdicts = draw(st.lists(st.builds(
         Verdict, _TOKENS,
-        st.builds(SanitizationTriple, _AWKWARD_TEXT,
-                  st.lists(_AWKWARD_TEXT, max_size=3).map(tuple),
+        st.builds(SanitizationTriple, pool(_AWKWARD_TEXT),
+                  pool(st.lists(_AWKWARD_TEXT, max_size=3).map(tuple)),
                   _AWKWARD_TEXT),
         st.sampled_from([f.context for f in findings]),
-        st.one_of(st.none(), st.sampled_from(BugPattern))),
-        max_size=4)) if findings else []
+        pool(st.one_of(st.none(), st.sampled_from(BugPattern)))),
+        max_size=12)) if findings else []
     summary = draw(st.builds(
         ReportSummary, _COUNTS, _COUNTS, _COUNTS,
         st.dictionaries(st.sampled_from(BugPattern), _COUNTS)))
@@ -355,6 +362,32 @@ def test_analyze_chunked_bundle_equals_monolithic(tmp_path, capsys):
     main(["analyze", str(chunked_path), "--format", "json"])
     chunked = json.loads(capsys.readouterr().out)
     assert chunked == monolithic
+
+
+# A // comment ends at every ECMAScript LineTerminator, so the value
+# after each of these sits in a block comment, where js_escape leaves
+# "*/" alone.
+_LINE_TERMINATOR_PAGES = (
+    "<script>// note\u2028 /*\nvar s = '{{a|escapejs}}'; // */</script>",
+    "<script>// note\r /*\nvar s = '{{a|escapejs}}'; // */</script>",
+    "<button onclick=\"// x&#x2028; /*&#10;go('{{a|escapejs}}') // */\">",
+)
+
+
+@pytest.mark.parametrize("page", _LINE_TERMINATOR_PAGES,
+                         ids=("ls-in-script", "cr-in-script", "ls-in-handler"))
+def test_a_value_after_a_line_comment_ended_by_any_line_terminator_is_flagged(
+        tmp_path, capsys, page):
+    # As a bundle, since reading a template file turns a CR into LF, as
+    # an HTML parser does.
+    document, registry, _ = render(parse_template(page),
+                                   {"a": "*/alert(1)//"}, seed=0)
+    bundle_path = tmp_path / "bundle.json"
+    bundle_path.write_text(json.dumps(dump_bundle(document, registry)),
+                           encoding="utf-8")
+    assert main(["analyze", str(bundle_path), "--format", "json"]) == 1
+    [verdict] = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdict["context"][-1] == "JsComment" and not verdict["sufficient"]
 
 
 def test_analyze_rejects_unknown_sanitizer_id(tmp_path, capsys):

@@ -46,8 +46,9 @@ def edge_documents() -> list[str]:
     strides over 20,000 characters of a tag, a style value or a script,
     url()s that hand their payloads on, an SVG link, a named reference
     without its ";", data: and javascript: scheme and MIME type forms,
-    and script and style bodies whose next token prefix lies in their
-    tag, after a wide character, past an unclosed end or after them.
+    script and style bodies whose next token prefix lies in their tag,
+    after a wide character, past an unclosed end or after them, and //
+    comments that a line terminator other than LF ends.
     A token is registered when the document spells it whole or with its
     "x" escaped."""
     a, b, c = EDGE_CHAINS
@@ -126,6 +127,11 @@ def edge_documents() -> list[str]:
         f"<script>var s='\u2192{a}';</script>",
         f"<p>{a}</p><script>var s='{b}';",
         f"<script>var s=1;</script>{a}",
+        # // comments that a CR, U+2028 or U+2029 ends, raw in a script
+        # and as a reference in a handler
+        *(f"<script>// x{end} /*\nvar s='{a}'; // */</script>"
+          f"<p onclick=\"// y&#x{ord(end):x}; /*&#10;f('{b}') // */\">x</p>"
+          for end in ("\r", "\u2028", "\u2029")),
     ]
 
 # Runs in the child: SRC RUNS OUT.  One JSON line per run in OUT:
