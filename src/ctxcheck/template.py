@@ -6,15 +6,22 @@ value from the environment, applies its filters in order, HTML-escapes
 the result unless a filter already marked it safe, and writes it to the
 output as a sink.  There is no control flow; the language exists so that
 source-to-sink pipelines can run end to end without a web framework.
+
+Pages repeat a few expansions many times, so a parsed ``Template`` holds
+each distinct expansion text once and each occurrence as an index into
+them.  Parsing validates, and rendering resolves and filters, once per
+distinct expansion; the work per occurrence is one pattern split at
+parse time and ``map`` and slice assignment at render time.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from typing import Any, NamedTuple, Union
+from itertools import compress, islice
+from typing import Any, NamedTuple
 
-from .annotations import SinkId, SinkRegistry
+from .annotations import SinkRegistry
 from .sanitizers import html_escape, js_escape, mark_safe, url_encode
 from .taint import (
     TaintedText,
@@ -45,68 +52,71 @@ class TemplateSyntaxError(Exception):
         self.offset = offset
 
 
-# Nodes are tuples, built with tuple.__new__ as RegistryEntry is.
-class Literal(NamedTuple):
-    text: str
-
-
 class Expansion(NamedTuple):
+    """One distinct expansion text, with the value path and filters it
+    names."""
+
     path: tuple[str, ...]
     filters: tuple[str, ...]
-    site: SinkId
     raw: str
 
 
-Node = Union[Literal, Expansion]
-
-
 class Template(NamedTuple):
-    nodes: tuple[Node, ...]
+    """A parsed template: ``literals[i]`` comes before occurrence ``i``,
+    ``expansions`` holds each distinct expansion text once, in the order
+    of its first occurrence, and ``occurrences[i]`` indexes the expansion
+    written at occurrence ``i``.  There is one literal more than there
+    are occurrences; literals may be empty."""
+
+    literals: tuple[str, ...]
+    expansions: tuple[Expansion, ...]
+    occurrences: tuple[int, ...]
+
+
+# One split gives each literal, then each expansion's text between its
+# braces (group 1), or, for a "{{" with no "}}" after it, the rest of the
+# source (group 2), so no search for "}}" runs more than once to the end.
+_EXPANSION_RE = re.compile(r"\{\{(?:(.*?)\}\}|(.*))", re.S)
 
 
 def parse_template(source: str) -> Template:
     """Split template source into literals and expansions.
 
-    Each expansion gets a sink id of the form ``template:<ordinal>``.
+    Each distinct expansion text is validated once, in the order of its
+    first occurrence; a bad one raises ``TemplateSyntaxError`` at the
+    offset of that occurrence.
     """
-    nodes: list[Node] = []
-    # Expansion text -> (path, filters).  Templates repeat a few
-    # expansions many times, so each distinct text is validated once;
-    # a bad one raises before it is stored, at its first offset.
-    parsed: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
-    ordinal = 0
-    i = 0
-    n = len(source)
-    while i < n:
-        start = source.find("{{", i)
-        if start == -1:
-            nodes.append(tuple.__new__(Literal, (source[i:],)))
-            break
-        if start > i:
-            nodes.append(tuple.__new__(Literal, (source[i:start],)))
-        end = source.find("}}", start + 2)
-        if end == -1:
-            raise TemplateSyntaxError("unterminated expansion", offset=start)
-        raw = source[start:end + 2]
-        spec = parsed.get(raw)
-        if spec is None:
-            parts = [part.strip() for part in raw[2:-2].split("|")]
-            dotted = parts[0]
-            segments = tuple(dotted.split("."))
-            if not dotted or not all(_IDENT_RE.fullmatch(s) for s in segments):
-                raise TemplateSyntaxError(f"invalid value path {dotted!r}",
-                                          offset=start)
-            filters = tuple(parts[1:])
-            for name in filters:
-                if name not in FILTERS:
-                    raise TemplateSyntaxError(f"unknown filter {name!r}",
-                                              offset=start)
-            spec = parsed[raw] = (segments, filters)
-        nodes.append(tuple.__new__(
-            Expansion, (*spec, f"template:{ordinal}", raw)))
-        ordinal += 1
-        i = end + 2
-    return Template(tuple(nodes))
+    pieces = _EXPANSION_RE.split(source)
+    texts = pieces[1::3]
+    # Text -> its number among the distinct texts.  An unterminated
+    # expansion is the last occurrence, so its None comes last.
+    numbers = dict.fromkeys(texts)
+    expansions = []
+    for number, text in enumerate(numbers):
+        numbers[text] = number
+        if text is None:
+            raise TemplateSyntaxError("unterminated expansion",
+                                      _offset(source, len(texts) - 1))
+        parts = [part.strip() for part in text.split("|")]
+        dotted = parts[0]
+        segments = tuple(dotted.split("."))
+        if not dotted or not all(_IDENT_RE.fullmatch(s) for s in segments):
+            raise TemplateSyntaxError(f"invalid value path {dotted!r}",
+                                      _offset(source, texts.index(text)))
+        filters = tuple(parts[1:])
+        for name in filters:
+            if name not in FILTERS:
+                raise TemplateSyntaxError(f"unknown filter {name!r}",
+                                          _offset(source, texts.index(text)))
+        expansions.append(Expansion(segments, filters, "{{" + text + "}}"))
+    return Template(tuple(pieces[::3]), tuple(expansions),
+                    tuple(map(numbers.__getitem__, texts)))
+
+
+def _offset(source: str, occurrence: int) -> int:
+    """Where the expansion at ``occurrence`` starts in ``source``."""
+    return next(islice(_EXPANSION_RE.finditer(source), occurrence,
+                       None)).start()
 
 
 def resolve_path(env: Environment, path: tuple[str, ...], *,
@@ -139,36 +149,38 @@ def render(template: Template, env: Environment, *,
     """Expand a template against an environment.
 
     Filters run in written order; if none of them marked the value safe,
-    the HTML escape runs last as the autoescape.  Returns the annotated
-    document, its registry and the clean document: the same expansion
-    with no annotation token, built in the same pass, so a value that
-    spells a token keeps it.
+    the HTML escape runs last as the autoescape.  Each tainted
+    occurrence ``i`` is a sink ``template:<i>`` with its own token.
+    Returns the annotated document, its registry and the clean document:
+    the same expansion with no annotation token, built in the same pass,
+    so a value that spells a token keeps it.
     """
+    # Values are immutable, so each distinct path is resolved, and each
+    # distinct (path, filters) filtered, once per call; occurrences only
+    # index the results.
+    leaves, values, texts, taints = {}, {}, [], []
+    for path, filters, _ in template.expansions:
+        if (value := values.get(key := (path, filters))) is None:
+            if (value := leaves.get(path)) is None:
+                value = leaves[path] = resolve_path(env, path, mode=mode)
+            for name in filters:
+                value = FILTERS[name](value)
+            if not value.safe_marked:
+                value = html_escape(value)
+            values[key] = value
+        texts.append(value.text)
+        taints.append(value.taint)
+    occurrences = template.occurrences
+    clean = [""] * (2 * len(occurrences) + 1)
+    clean[::2] = template.literals
+    clean[1::2] = map(texts.__getitem__, occurrences)
+    # The taint of each occurrence, and where the tainted ones are.
+    tainted = list(map(taints.__getitem__, occurrences))
+    sites = list(compress(range(len(occurrences)), tainted))
     registry = SinkRegistry(seed=seed)
-    # The clean pieces, and where each tainted one is with its taint and
-    # sink.  Values are immutable, so each distinct path is resolved, and
-    # each (path, filters) filtered to (text, taint), once per call.
-    clean, at, taints, sinks, leaves, values = [], [], [], [], {}, {}
-    for node in template.nodes:
-        if isinstance(node, Literal):
-            clean.append(node.text)
-            continue
-        if (value := values.get(key := (node.path, node.filters))) is None:
-            if (leaf := leaves.get(node.path)) is None:
-                leaf = leaves[node.path] = resolve_path(env, node.path,
-                                                        mode=mode)
-            for name in node.filters:
-                leaf = FILTERS[name](leaf)
-            if not leaf.safe_marked:
-                leaf = html_escape(leaf)
-            value = values[key] = (leaf.text, leaf.taint)
-        text, taint = value
-        if taint:
-            at.append(len(clean))
-            taints.append(taint)
-            sinks.append(node.site)
-        clean.append(text)
+    tokens = registry.register_all(list(filter(None, tainted)),
+                                   [f"template:{i}" for i in sites])
     out = clean.copy()
-    for i, token in zip(at, registry.register_all(taints, sinks)):
-        out[i] = token + out[i]
+    for i, token in zip(sites, tokens):
+        out[2 * i + 1] = token + out[2 * i + 1]
     return "".join(out), registry, "".join(clean)

@@ -3,12 +3,14 @@
 The sufficiency oracle enumerates the full concatenation product of the
 handled-context sets, which is exactly the definition the fast
 implementation must agree with.  It stays deliberately naive.  The
-render oracle expands every node on its own, as render did before it
-shared the value of a repeated expansion.  The strip oracle is the
-original one-replace-per-token annotation strip, the report oracle the
-dicts and lists that the CLI gave json.dumps before it wrote the JSON
-report as text, and the browser oracle
-the original hand-written scanners, changed only where the model was
+parse oracle is the str.find walk that parse_template was before it
+split the source with one pattern, and checks every expansion where it
+occurs.  The render oracle expands every occurrence on its own, as
+render did before it shared the value of a repeated expansion.  The
+strip oracle is the original one-replace-per-token annotation strip,
+the report oracle the dicts and lists that the CLI gave json.dumps
+before it wrote the JSON report as text, and the browser oracle the
+original hand-written scanners, changed only where the model was
 deliberately changed: the text between a quoted url() payload's closing
 quote and ")" is classified Unknown, comments end where the HTML
 tokenizer ends them, and an attribute value with a named reference
@@ -34,7 +36,7 @@ from ctxcheck.contexts import (BrowserContext, ContextSequence, Finding,
 from ctxcheck.decoders import css_unescape, entity_decode, percent_decode
 from ctxcheck.sanitizers import html_escape
 from ctxcheck.taint import TrackingMode
-from ctxcheck.template import FILTERS, Literal, resolve_path
+from ctxcheck.template import FILTERS, TemplateSyntaxError, resolve_path
 from ctxcheck.verifier import BugPattern
 
 # Alphabet for randomized maps and contexts; excludes the two contexts
@@ -137,27 +139,62 @@ def remove_literal_occurrences(document: str, tokens) -> str:
     return "".join(kept)
 
 
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def reference_parse(source: str):
+    """Reference template parser: a walk from each "{{" to the next "}}"
+    with ``str.find``, validating every expansion where it occurs.
+    Returns the literal before each expansion and the one after the
+    last, and each expansion's (path, filters, raw) in written order;
+    raises ``TemplateSyntaxError`` at the first bad expansion."""
+    literals, expansions = [], []
+    i = 0
+    while (start := source.find("{{", i)) != -1:
+        literals.append(source[i:start])
+        end = source.find("}}", start + 2)
+        if end == -1:
+            raise TemplateSyntaxError("unterminated expansion", offset=start)
+        raw = source[start:end + 2]
+        parts = [part.strip() for part in raw[2:-2].split("|")]
+        dotted = parts[0]
+        segments = tuple(dotted.split("."))
+        if not dotted or not all(_IDENT_RE.fullmatch(s) for s in segments):
+            raise TemplateSyntaxError(f"invalid value path {dotted!r}",
+                                      offset=start)
+        filters = tuple(parts[1:])
+        for name in filters:
+            if name not in FILTERS:
+                raise TemplateSyntaxError(f"unknown filter {name!r}",
+                                          offset=start)
+        expansions.append((segments, filters, raw))
+        i = end + 2
+    literals.append(source[i:])
+    return literals, expansions
+
+
 def reference_render(template, env, *, seed=None, mode=TrackingMode.FULL):
-    """Reference template expansion: every expansion node resolves,
-    filters and escapes its own value, with nothing shared between
-    nodes that repeat an expansion.  Returns the annotated document,
-    its registry and the clean document, each built on its own."""
+    """Reference template expansion: every occurrence resolves, filters
+    and escapes its own value, with nothing shared between occurrences
+    of one expansion.  Returns the annotated document, its registry and
+    the clean document, each built on its own."""
     registry = SinkRegistry(seed=seed)
     document = clean = ""
-    for node in template.nodes:
-        if isinstance(node, Literal):
-            document += node.text
-            clean += node.text
-            continue
-        value = resolve_path(env, node.path, mode=mode)
-        for name in node.filters:
+    for i, number in enumerate(template.occurrences):
+        document += template.literals[i]
+        clean += template.literals[i]
+        path, filters, _ = template.expansions[number]
+        value = resolve_path(env, path, mode=mode)
+        for name in filters:
             value = FILTERS[name](value)
         if not value.safe_marked:
             value = html_escape(value)
         if value.taint:
-            document += registry.register(value.taint, node.site)
+            document += registry.register(value.taint, f"template:{i}")
         document += value.text
         clean += value.text
+    document += template.literals[-1]
+    clean += template.literals[-1]
     return document, registry, clean
 
 

@@ -18,7 +18,7 @@ import ctxcheck
 from ctxcheck.annotations import SinkRegistry
 from ctxcheck.bundle import Bundle
 from ctxcheck.taint import TaintedNumber, TaintedText
-from ctxcheck.template import Literal, Template
+from ctxcheck.template import Expansion, Template
 from ctxcheck.verifier import BugPattern, ReportSummary
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(ctxcheck.__file__)))
@@ -53,9 +53,12 @@ _RECORDS = [
      "safe_marked=False)", "text"),
     (TaintedNumber(7, _TAINT), TaintedNumber(7, _TAINT), TaintedNumber(7),
      "TaintedNumber(value=7, taint=frozenset({('o', ())}))", "value"),
-    (Template((Literal("x"),)), Template((Literal("x"),)),
-     Template((Literal("y"),)),
-     "Template(nodes=(Literal(text='x'),))", "nodes"),
+    (Template(("x", ""), (Expansion(("a",), (), "{{a}}"),), (0,)),
+     Template(literals=("x", ""), occurrences=(0,),
+              expansions=(Expansion(("a",), (), "{{a}}"),)),
+     Template(("y", ""), (Expansion(("a",), (), "{{a}}"),), (0,)),
+     "Template(literals=('x', ''), expansions=(Expansion(path=('a',), "
+     "filters=(), raw='{{a}}'),), occurrences=(0,))", "literals"),
     (ReportSummary(2, 1, 1, {BugPattern.HtmlInUri: 1}),
      ReportSummary(sanitizations=2, correct=1, incorrect=1,
                    pattern_counts={BugPattern.HtmlInUri: 1}),

@@ -9,9 +9,11 @@ run through ``ctxcheck.cli.main`` once with ``--format json`` and once
 with ``--format text``; ``check`` also gets ``--seed 0``, so that its
 tokens are the same in both trees.  So is each of ``edge_documents()``,
 markup the benchmark inputs hold none of, written as a bundle and run
-through ``analyze``.  Each tree runs in its own process.  The inputs
-are written to a temporary directory; nothing under ``benchmarks/`` is
-changed.
+through ``analyze``.  Each of ``edge_templates()``, template shapes the
+benchmark inputs hold none of, runs through ``check --seed 0`` in both
+formats and through ``render --seed 0``.  Each tree runs in its own
+process.  The inputs are written to a temporary directory; nothing
+under ``benchmarks/`` is changed.
 
 Prints the number of runs and of those whose standard output, standard
 error or exit code differs between the trees, then the input and format
@@ -36,6 +38,11 @@ FORMATS = ("json", "text")
 EDGE_CHAINS = {f"xtnt{i:032x}": chain for i, chain in enumerate(
     (["html_escape"], ["js_escape", "html_escape"], ["url_encode"]), 1)}
 UNREGISTERED = "xtnt" + "f" * 32
+# The environment of the edge templates: string, number, list, null,
+# boolean and mapping leaves.
+EDGE_ENV = {"a": "O'Neil <b> & \u2028", "b": "javascript:alert(1)", "n": 7,
+            "f": 2.5, "l": ["x", "y"], "z": None, "t": True,
+            "d": {"x": "v"}}
 
 
 def edge_documents() -> list[str]:
@@ -134,6 +141,30 @@ def edge_documents() -> list[str]:
           for end in ("\r", "\u2028", "\u2029")),
     ]
 
+
+def edge_templates() -> list[tuple[str, str]]:
+    """Template sources, each with the tracking mode to render it in,
+    whose parsing or expansion the benchmark inputs do not reach:
+    expansions back to back and at both ends of the source, one written
+    with and without spaces, paths that are missing or end at a list,
+    null, boolean or mapping, numbers under both modes, and each syntax
+    error."""
+    numbers = ("<p title={{n}}>{{f|urlencode}}</p>"
+               "<script>var n = {{n}};</script>")
+    return [
+        ("{{a}}{{b|urlencode}}<p title=\"{{a|escape}}\">{{a}}{{a}}</p>"
+         "<script>var s = '{{a|escapejs}}';</script>{{b}}", "full"),
+        ("<a href=\"{{ b }}\">{{b}}</a>{{ a | escapejs }}"
+         "<script>f('{{a|escapejs}}', '{{ a|escapejs }}')</script>", "full"),
+        ("<p>{{gone}}{{d.x.y}}{{l}}{{z}}{{t}}{{d}}{{d.x}}</p>", "full"),
+        (numbers, "full"),
+        (numbers, "no-numeric"),
+        ("<p>{{a}}</p> {{", "full"),
+        ("{{a}} {{b..c}}", "full"),
+        ("{{a}}{{ a | shout }}", "full"),
+    ]
+
+
 # Runs in the child: SRC RUNS OUT.  One JSON line per run in OUT:
 # [exit code, stdout, stderr].  An exception that escapes main is
 # recorded by its last traceback line, which names no file of the tree.
@@ -214,6 +245,19 @@ def write_runs(work: str) -> list:
         for fmt in FORMATS:
             runs.append((f"edge document {number} --format {fmt}",
                          ["analyze", path, "--format", fmt]))
+    env = os.path.join(work, "edge-env.json")
+    with open(env, "w", encoding="utf-8") as handle:
+        json.dump(EDGE_ENV, handle)
+    for number, (source, mode) in enumerate(edge_templates()):
+        path = os.path.join(work, f"edge-{number}.tpl")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(source)
+        label = f"edge template {number} --mode {mode}"
+        argv = [path, env, "--seed", "0", "--mode", mode]
+        for fmt in FORMATS:
+            runs.append((f"{label} check --format {fmt}",
+                         ["check", *argv, "--format", fmt]))
+        runs.append((f"{label} render", ["render", *argv]))
     return runs
 
 

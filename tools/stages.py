@@ -4,17 +4,18 @@ Usage: python tools/stages.py OLD_SRC NEW_SRC [--rounds N]
 
 Each argument is a directory that holds the ``ctxcheck`` package, such
 as a checkout's ``src``, or a checkout whose ``src`` holds it.  The
-inputs are the seed-1 ``dense-page`` pages that ``benchmarks/workloads.py``
-generates: forty 1k-sink pages and one 8k-sink page.  Each round runs
-each tree once, in its own process, old first in odd rounds and new
-first in even ones.  A run times ``parse_template``, ``render`` (with
+inputs are seed-1 pages that ``benchmarks/workloads.py`` generates: the
+forty 1k-sink pages and one 8k-sink page of ``dense-page``, and the six
+``script-heavy`` pages of 0.6-1.4 MB of script.  Each round runs each
+tree once, in its own process, old first in odd rounds and new first in
+even ones.  A run times ``parse_template``, ``render`` (with
 seed 0), ``analyze``, ``verify``, ``aggregate`` and ``cli._report_json``
 once on every page, after one untimed pass over the first page.
 
 Prints, for each stage, the best time over the rounds in milliseconds
 for each tree and the new/old ratio: averaged over the 1k-sink pages,
-and for the 8k-sink page.  Exits 2 if a tree cannot be run, and 0
-otherwise.  Nothing under ``benchmarks/`` is changed.
+for the 8k-sink page, and averaged over the script pages.  Exits 2 if a
+tree cannot be run, and 0 otherwise.  Nothing under ``benchmarks/`` is changed.
 """
 
 from __future__ import annotations
@@ -73,19 +74,26 @@ with open(out, "w", encoding="utf-8") as handle:
 """
 
 
-def write_pages(path: str) -> list[int]:
-    """Write the seed-1 dense-page pages; return each page's sink count."""
+def write_pages(path: str) -> list[tuple[str, list[int]]]:
+    """Write the seed-1 pages; return each group's title and pages."""
     sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
     sys.dont_write_bytecode = True
-    from workloads import dense_page
+    from workloads import dense_page, script_heavy
 
-    cases = dense_page(SEED)
-    env = json.loads(cases[0].files["env.json"])
-    pages = [next(content for name, content in case.files.items()
-                  if name.endswith(".tpl")) for case in cases]
+    dense, script = dense_page(SEED), script_heavy(SEED)
+    pages = [[next(content for name, content in case.files.items()
+                   if name.endswith(".tpl")),
+              json.loads(cases[0].files["env.json"])]
+             for cases in (dense, script) for case in cases]
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump([[page, env] for page in pages], handle)
-    return [case.tokens for case in cases]
+        json.dump(pages, handle)
+    sinks = [case.tokens for case in dense]
+    small = [i for i, count in enumerate(sinks) if count < max(sinks)]
+    large = sinks.index(max(sinks))
+    return [(f"{len(small)} pages of {sinks[small[0]]} sinks, mean", small),
+            (f"1 page of {sinks[large]} sinks", [large]),
+            (f"{len(script)} script-heavy pages, mean",
+             list(range(len(dense), len(pages))))]
 
 
 def run_tree(src: str, pages_path: str, out_path: str) -> list[list[int]]:
@@ -111,7 +119,7 @@ def main(argv=None) -> int:
         try:
             trees = [package_dir(tree) for tree in (args.old, args.new)]
             pages_path = os.path.join(work, "pages.json")
-            sinks = write_pages(pages_path)
+            groups = write_pages(pages_path)
             # best[tree][page][stage], in nanoseconds
             best = [None, None]
             for round_ in range(args.rounds):
@@ -124,10 +132,6 @@ def main(argv=None) -> int:
         except TreeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    small = [i for i, count in enumerate(sinks) if count < max(sinks)]
-    large = sinks.index(max(sinks))
-    groups = ((f"{len(small)} pages of {sinks[small[0]]} sinks, mean", small),
-              (f"1 page of {sinks[large]} sinks", [large]))
     print(f"best of {args.rounds} rounds, ms")
     for title, pages in groups:
         print(f"\n{title}\n{'stage':<16}{'old':>9}{'new':>9}{'new/old':>9}")
