@@ -52,23 +52,28 @@ text up to the next token prefix (or up to the end, once none is left)
 that hands nothing on: in a script, the code and closed strings and
 comments; in a style, the plain text and closed comments, strings and
 ``url()`` whose payload holds no "\\" or ":"; and in markup, the text,
-closed comments, declarations and end tags, stray "<" and the start
-tags that open no raw text and whose attribute values hand nothing on
-(``_inert_value``).  A stride ends where a table match ends, never
-gives text back and never changes the declaration state: outside a
-value, a CSS stride reads whole values, from ":" to the ";", "{" or
-"}" that ends them, and inside one, it stops before them.  So whether
-a construct hands text on is decided once, by the stride: the table
-and its readers hand on whatever they read, except a token-free
-attribute value that holds no "&#" and whose kind watches no
-characters.  No stride is tried over a range of at most
-``_SHORT_RANGE`` characters, which lexes faster construct by
-construct.  JavaScript strings and comments are terminal, so lexing a
-script stops after its last token prefix.  HTML, CSS and URI text is
-walked to its end, because entity, percent, CSS-escape and base64
-decoding can reveal a token that the raw text does not spell.  Bodies
-of strings, comments and attribute values are possessive repeats: with
-no backtracking state, a long one costs no more memory than its text.
+closed comments, declarations and end tags, stray "<" and the start tags
+that open no raw text and whose attribute values hand nothing on
+(``_inert_value``).  A URI value hands nothing on when it holds no ":",
+or when it starts with a literal "javascript:" and the rest holds no
+"%", tab or newline: the URL parser removes tabs and newlines, and
+percent-decoding is the only decoding the body gets before it is lexed
+as JavaScript, so such a body spells no token that the raw value does
+not, and links such as "javascript:void(0)" are strode over.  A stride
+ends where a table match ends, never gives text back and never changes
+the declaration state: outside a value, a CSS stride reads whole values,
+from ":" to the ";", "{" or "}" that ends them, and inside one, it stops
+before them.  So whether a construct hands text on is decided once, by
+the stride: the table and its readers hand on whatever they read, except
+a token-free attribute value that holds no "&#" and whose kind watches
+no characters.  No stride is tried over a range of at most
+``_SHORT_RANGE`` characters, which lexes faster construct by construct.
+JavaScript strings and comments are terminal, so lexing a script stops
+after its last token prefix.  HTML, CSS and URI text is walked to its
+end, because entity, percent, CSS-escape and base64 decoding can reveal
+a token that the raw text does not spell.  Bodies of strings, comments
+and attribute values are possessive repeats: with no backtracking state,
+a long one costs no more memory than its text.
 
 The HTML scanner is deliberately forgiving.  Regions it cannot make
 sense of (tag and attribute names, declarations, unterminated
@@ -340,17 +345,23 @@ def _inert_value(kind: str, end: str) -> str:
     A plain value and an event handler's need only the entity rule.
 
     Entity decoding may only turn ``&amp;``, ``&lt;``, ``&gt;`` and
-    ``&quot;`` into "&<>\"", and it leaves an "&" that neither "#" nor
-    a letter follows as it is, so the decoded value spells no token the
+    ``&quot;`` into "&<>\"", and it leaves an "&" that neither "#" nor a
+    letter follows as it is, so the decoded value spells no token the
     raw one does not.  A URI without ":" has no javascript: or data:
-    scheme.  In a style, each url( is closed by ")", with no "&" or "("
-    in between (so no other url( starts inside it), and its payload,
-    bare or quoted, holds no "\\" or ":": css_scan reads each the same
-    way in the raw and the decoded value, and none can reveal a token,
-    whether it is read as a url() or lies in a CSS string or comment.
-    A nested document (``srcdoc``) decodes its entities once more, so
-    it holds no "&" at all; without ":" or "\\" it has no URL scheme
-    and no CSS escape either, so nothing in it can decode to a token.
+    scheme.  One that starts with a literal "javascript:", in any case,
+    uri_scan reads as a javascript: URL whose body is the rest with tabs
+    and newlines removed, then percent-decoded: neither step changes a
+    rest without "%", tab or newline, so the body spells no token the
+    raw value does not.  A data: URL, or a scheme spelled with a
+    reference, a tab or a leading space, keeps the ":" rule.  In a
+    style, each url( is closed by ")", with no "&" or "(" in between (so
+    no other url( starts inside it), and its payload, bare or quoted,
+    holds no "\\" or ":": css_scan reads each the same way in the raw
+    and the decoded value, and none can reveal a token, whether it is
+    read as a url() or lies in a CSS string or comment.  A nested
+    document (``srcdoc``) decodes its entities once more, so it holds no
+    "&" at all; without ":" or "\\" it has no URL scheme and no CSS
+    escape either, so nothing in it can decode to a token.
     """
     # A run of ordinary characters is one repeat, far faster to walk than
     # a repeated alternation.  Each special starts where a run ends and
@@ -361,7 +372,12 @@ def _inert_value(kind: str, end: str) -> str:
     special = [r"&(?:amp|lt|gt|quot);", r"&(?![#a-zA-Z])"]
     if kind == "css":
         special += [r"(?!(?i:url)\()[uU]", _css_url(True, "&(" + end)]
-    return rf"{run}(?:(?:{'|'.join(special)}){run})*+"
+    special = "|".join(special)
+    value = rf"{run}(?:(?:{special}){run})*+"
+    if kind == "uri":
+        body = rf"[^&%\t\n\r{end}]*+"
+        value = rf"(?:(?i:javascript):{body}(?:(?:{special}){body})*+|{value})"
+    return value
 
 
 def _inert_attribute(kind: str) -> str:
@@ -371,7 +387,10 @@ def _inert_attribute(kind: str) -> str:
     names = "|".join(n for n, of in _ATTRIBUTE_KIND.items() if kind in ("plain", of))
     name = rf"(?i:{names})(?=[{_WS}/=>])"
     if kind == "plain":
-        name = rf"(?!{name})[^{_WS}/=>]++"
+        # A name whose first letter starts no name in the table is tried
+        # against none of them; the class folds as the names do.
+        first = "".join(sorted({n[0] for n in _ATTRIBUTE_KIND}))
+        name = rf"(?!(?=(?i:[{first}])){name})[^{_WS}/=>]++"
     values = [rf'"{_inert_value(kind, chr(34))}"',
               rf"'{_inert_value(kind, chr(39))}'",
               rf"(?![\"']){_inert_value(kind, _WS + '>')}(?=[{_WS}>])"]
@@ -382,8 +401,10 @@ def _inert_attribute(kind: str) -> str:
 # on, after its "<".  A name that str.lower() puts in _ATTRIBUTE_KIND
 # matches its kind in any case, as do a few more (U+017F for "s"), which
 # only get a stricter rule; the plain rule is also an event handler's.
+# At the ">" that ends the attributes every kind fails, so none is tried.
 _INERT_TAG = (
-    rf"(?!{_RAW_TEXT}(?![a-zA-Z0-9:_-])){_TAG_NAME}(?:[{_WS}/=]*+(?:"
+    rf"(?!{_RAW_TEXT}(?![a-zA-Z0-9:_-])){_TAG_NAME}(?:[{_WS}/=]*+"
+    rf"(?=[^{_WS}/=>])(?:"
     + "|".join(map(_inert_attribute,
                    ["plain", *dict.fromkeys(_ATTRIBUTE_KIND.values())]))
     + rf"))*+[{_WS}/=]*+>")

@@ -279,7 +279,23 @@ def test_tokens_revealed_only_by_decoding_are_found():
          (C.HtmlAttrSq, C.HtmlAttrUnq, C.Uri, C.JsCode)),
         (f'<iframe srcdoc="<b style=\'url(\\78 {rest})\'>">',
          (C.HtmlAttrDq, C.HtmlAttrSq, C.Uri)),
+        # a javascript: URL in any case is inert only without "%", and
+        # without a tab or newline, which the URL parser removes
+        (f'<a href="JaVaScRiPt:f(%27%78{rest}%27)">', (C.HtmlAttrDq, *js)),
+        (f"<a href=\"javascript:f('x\t{rest}')\">", (C.HtmlAttrDq, *js)),
+        (f"<a href=\"javascript:f('xt\n{rest[1:]}')\">", (C.HtmlAttrDq, *js)),
+        # a data: URL without "%" can still decode to a token
+        (f'<a href="data:text/html,<b title=&amp;#x78;{rest}>">',
+         (C.HtmlAttrDq, C.Uri, C.HtmlAttrUnq)),
     ]
+    # Every URI name, whatever letter it starts with, quoted or not.
+    for name in sorted(URI_ATTRIBUTES):
+        markup += [
+            (f"<a {name}='javascript:f(%27%78{rest}%27)'>",
+             (C.HtmlAttrSq, *js)),
+            (f"<a {name}=javascript:f(%27%78{rest}%27)>",
+             (C.HtmlAttrUnq, *js)),
+        ]
     # Each tag, alone or behind and before enough inert markup for the
     # HTML stride to run, must stop it.
     padding = '<div class="c" data-x=1>&amp; x</div><br/>' * 4
@@ -877,7 +893,8 @@ _AT_SCALE = {
     # markup, lexed by html_scan
     "markup": lambda rng: _pieces(rng, _MARKUP, 3000),
     "inert-tags": lambda rng: ['<div class="c" data-x=1>x</div>'] * 5000,
-    "live-tags": lambda rng: ['<a href="javascript:f()">x</a>'] * 5000,
+    "live-tags": lambda rng: ['<a href="javascript:f(%27x%27)">x</a>'] * 5000,
+    "inert-js-urls": lambda rng: ['<a href="javascript:f()">x</a>'] * 5000,
     "long-values": lambda rng: (["<p>x</p>"] * 2000
                                 + ['<b title="' + "a" * 40000 + '">']
                                 + ["<p>x</p>"] * 2000
@@ -885,8 +902,8 @@ _AT_SCALE = {
                                 + ["<p>x</p>"] * 2000),
     "stray-lts": lambda rng: ["<"] * 20000,
 }
-_MARKUP_INPUTS = {"markup", "inert-tags", "live-tags", "long-values",
-                  "stray-lts"}
+_MARKUP_INPUTS = {"markup", "inert-tags", "live-tags", "inert-js-urls",
+                  "long-values", "stray-lts"}
 
 
 @pytest.mark.parametrize("name", sorted(_AT_SCALE))
@@ -931,9 +948,11 @@ _LONG_CONSTRUCTS = {
         lambda token: '<a title="' + "&amp;" * 50000 + '">' + token,
     "entities-in-a-title-beside-a-live-value":
         lambda token: ('<a title="' + "&amp;" * 50000
-                       + '" href="javascript:f()">x</a>' + token),
+                       + '" href="javascript:f(%27x%27)">x</a>' + token),
     "inert-tags":
         lambda token: '<div class="c" data-x=1>x</div>' * 8000 + token,
+    "inert-js-urls":
+        lambda token: '<a href="javascript:void(0)">x</a>' * 8000 + token,
 }
 
 
@@ -993,6 +1012,31 @@ def test_a_stride_reads_a_long_inert_tag_whole():
         browser.html_scan(text, ())
     assert reader.call_count == 0
     assert [f.context for f in browser.findings] == [(C.HtmlText,)]
+
+
+def test_a_stride_reads_javascript_urls_that_reveal_nothing():
+    """A javascript: URL whose body holds no "%", tab or newline decodes
+    to no token, so a stride consumes the links that hold one, and the
+    start-tag reader never reads them."""
+    registry, token = _registry_with_token()
+    text = '<a href="javascript:void(0)" onclick="f()">x</a>' * 5000 + token
+    reader = mock.Mock(wraps=ModelBrowser._start_tag)
+    browser = ModelBrowser(registry)
+    with mock.patch.dict(browser_module._READER, start_tag=reader):
+        browser.html_scan(text, ())
+    assert reader.call_count == 0
+    assert [f.context for f in browser.findings] == [(C.HtmlText,)]
+
+
+@pytest.mark.parametrize("name", dict.fromkeys(
+    spelling for name in sorted(URI_ATTRIBUTES)
+    for spelling in (name, name.upper(), name.replace("s", "\u017f"))))
+def test_a_stride_stops_at_every_spelling_of_a_uri_name(name):
+    """A name that matches a URI name in any case, U+017F for "s"
+    included, gets the URI rule in a stride, so a value with ":" that
+    is no javascript: URL stops it, whatever letter the name starts
+    with."""
+    assert browser_module._HTML_STRIDE.match(f'<a {name}="a:b">').end() == 0
 
 
 def test_a_css_stride_reads_whole_declarations():

@@ -54,8 +54,9 @@ def edge_documents() -> list[str]:
     url()s that hand their payloads on, an SVG link, a named reference
     without its ";", data: and javascript: scheme and MIME type forms,
     script and style bodies whose next token prefix lies in their tag,
-    after a wide character, past an unclosed end or after them, and //
-    comments that a line terminator other than LF ends.
+    after a wide character, past an unclosed end or after them, //
+    comments that a line terminator other than LF ends, and javascript:
+    links with and without "%" where a stride runs up to them.
     A token is registered when the document spells it whole or with its
     "x" escaped."""
     a, b, c = EDGE_CHAINS
@@ -63,6 +64,7 @@ def edge_documents() -> list[str]:
     page = f"<p title='{pa}'>{b}</p>"
     declarations = "".join(f"m{i}:'a;b:{i}' 0;" for i in range(200))
     live_urls = "p{b:url(a:b)}" * 1000
+    inert = '<div class="c" data-x=1>&amp; x</div>' * 6
     return [
         # declarations and processing instructions, closed or not
         f"<!DOCTYPE html {a}><p>{b}</p>",
@@ -139,6 +141,18 @@ def edge_documents() -> list[str]:
         *(f"<script>// x{end} /*\nvar s='{a}'; // */</script>"
           f"<p onclick=\"// y&#x{ord(end):x}; /*&#10;f('{b}') // */\">x</p>"
           for end in ("\r", "\u2028", "\u2029")),
+        # javascript: links with and without "%", in any case, with
+        # references, after enough inert markup for a stride to run up
+        # to them, before a token and after the last one
+        f"{inert}<a href=\"javascript:void(0)\">x</a><a HREF=\"JavaScript:"
+        f"void(0)\" onclick=\"f()\">y</a>{inert}<p>{a}</p>"
+        f"<a href=javascript:history.back()>z</a>{inert}",
+        f"{inert}<a href=\"javascript:f('{pa}')\">x</a>{inert}"
+        f"<a href='jAvAsCrIpT:g(\"{b}\")'>y</a>{inert}"
+        f"<a href=\"javascript:f(%27c%27)\">z</a>{inert}",
+        f"{inert}<a href=\"javascript:a&amp;&amp;b:c\">x</a><a href=\""
+        f"javascript:f(&quot;{c}&quot;)\">y</a>{inert}"
+        f"<a href=\" javascript:void(0)\" title=\"&#x78;{a[1:]}\">w</a>",
     ]
 
 
