@@ -89,13 +89,6 @@ class SinkRegistry:
                     drawn[token] = None
         return list(drawn)
 
-    def new_token(self) -> str:
-        return self._draw(1)[0]
-
-    def register(self, taint: TaintRecord, sink: SinkId) -> str:
-        """Create a fresh token for a tainted value reaching a sink."""
-        return self.register_all([frozenset(taint)], [sink])[0]
-
     def register_all(self, taints: list[TaintRecord],
                      sinks: list[SinkId]) -> list[str]:
         """Register each frozenset taint, with the sink at its index, under
@@ -131,7 +124,7 @@ def emit_to_sink(value, sink: SinkId, out: list[str],
     if not value.taint:
         out.append(value.text)
         return
-    token = registry.register(value.taint, sink)
+    token = registry.register_all([value.taint], [sink])[0]
     out.append(token + value.text)
 
 

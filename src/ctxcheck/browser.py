@@ -41,7 +41,7 @@ classification, and a classification walks the range from one prefix
 to the next with ``str.find``.  Each script and style body goes to
 its scanner as its own string, with the HTML level's next prefix
 position made relative to it, so each raw-text character is searched
-for the prefix once; ``_lex`` searches the body only when that
+for the prefix once; the scanner searches the body only when that
 position lies before it.  A script without a prefix is not lexed at
 all, and a style without one is read by the constructs only.  Tag
 names, attribute names, plain attribute values and plain URIs are
@@ -491,10 +491,9 @@ class ModelBrowser:
 
         Text between matches gets ``default`` and each match's group
         text the group's context.  ``nxt`` is the first token prefix in
-        the text, as a caller that has searched for it hands it on; if
-        it is negative, the text is searched for one.  A prefix past the
-        end, or one that straddles it, counts as none, and ``nxt`` is
-        then the text's length.  It guards each range; a prefix
+        the text, as the caller found it; a negative ``nxt``, a prefix
+        past the end, or one that straddles it, counts as none, and
+        ``nxt`` is then the text's length.  It guards each range; a prefix
         that straddles a range's end costs a classification that finds
         nothing.  A group without a context is read by its reader
         (``_READER``), which is handed ``nxt``, except ``css_punct``,
@@ -507,8 +506,6 @@ class ModelBrowser:
         a table match ends, in the state the step started in.
         """
         pos, end = 0, len(text)
-        if nxt < 0:
-            nxt = text.find(TOKEN_PREFIX)
         if not 0 <= nxt <= end - _PREFIX_LENGTH:
             nxt = end
         while True:
@@ -558,7 +555,7 @@ class ModelBrowser:
             self._classify(text, 0, len(text), prefix, BrowserContext.Unknown)
             return
         self._lex(text, prefix, _HTML, BrowserContext.HtmlText, _HTML_STRIDE,
-                  -1, (_HTML, _HTML_STRIDE))
+                  text.find(TOKEN_PREFIX), (_HTML, _HTML_STRIDE))
 
     def _start_tag(self, text: str, tag_match: re.Match,
                    prefix: ContextSequence, nxt: int) -> int:
@@ -660,15 +657,14 @@ class ModelBrowser:
         """Lex far enough to tell code, strings and comments apart.
 
         Takes ``nxt``, the first token prefix in ``text`` if the caller
-        has searched for it (see ``_lex``).  Nothing in a script is
+        has searched for it, and searches for one only if ``nxt`` is
+        negative; ``_lex`` takes the result.  Nothing in a script is
         decoded or handed on, so lexing stops once it has passed the
         last token prefix (a script without one is not lexed at all),
         and the code and closed constructs before each prefix are one
         stride.
         """
-        # An unsearched text is most often a short token-free value,
-        # which a membership test turns away faster than _lex.
-        if nxt < 0 and TOKEN_PREFIX not in text:
+        if nxt < 0 and (nxt := text.find(TOKEN_PREFIX)) < 0:
             return
         self._lex(text, prefix, _JS, BrowserContext.JsCode,
                   _JS_STRIDE, nxt, None)
@@ -679,13 +675,15 @@ class ModelBrowser:
                  nxt: int = -1) -> None:
         """Lex a declaration list or stylesheet fragment to its end.
 
-        Takes ``nxt`` as ``js_scan`` does.  Tokens in declaration
-        values, strings and comments get their own contexts; selector
-        and property-name positions are Unknown.  Lexing starts outside
-        a declaration value, with ``_CSS``, and runs to the end, since a
-        url() payload may still need handing on once no prefix is left;
-        from there on it reads only the constructs (``_CSS_TAIL``).
+        Takes ``nxt``, and searches, as ``js_scan`` does.  Tokens in
+        declaration values, strings and comments get their own contexts;
+        selector and property-name positions are Unknown.  Lexing starts
+        outside a declaration value, with ``_CSS``, and runs to the end,
+        since a url() payload may still need handing on once no prefix is
+        left; from there on it reads only the constructs (``_CSS_TAIL``).
         """
+        if nxt < 0:
+            nxt = text.find(TOKEN_PREFIX)
         self._lex(text, prefix, _CSS, BrowserContext.Unknown,
                   _CSS_STRIDE, nxt, _CSS_TAIL)
 

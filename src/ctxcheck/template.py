@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from itertools import compress, islice
+from itertools import compress
 from typing import Any, NamedTuple
 
 from .annotations import SinkRegistry
@@ -75,8 +75,10 @@ class Template(NamedTuple):
 
 # One split gives each literal, then each expansion's text between its
 # braces (group 1), or, for a "{{" with no "}}" after it, the rest of the
-# source (group 2), so no search for "}}" runs more than once to the end.
-_EXPANSION_RE = re.compile(r"\{\{(?:(.*?)\}\}|(.*))", re.S)
+# source (group 2).  The text runs to the first "}}" and never gives
+# text back, so an unterminated "{{" fails after one pass to the end.
+_EXPANSION_RE = re.compile(
+    r"\{\{(?:([^}]*+(?:\}(?!\})[^}]*+)*+)\}\}|(.*))", re.S)
 
 
 def parse_template(source: str) -> Template:
@@ -96,27 +98,29 @@ def parse_template(source: str) -> Template:
         numbers[text] = number
         if text is None:
             raise TemplateSyntaxError("unterminated expansion",
-                                      _offset(source, len(texts) - 1))
+                                      _offset(pieces, len(texts) - 1))
         parts = [part.strip() for part in text.split("|")]
         dotted = parts[0]
         segments = tuple(dotted.split("."))
         if not dotted or not all(_IDENT_RE.fullmatch(s) for s in segments):
             raise TemplateSyntaxError(f"invalid value path {dotted!r}",
-                                      _offset(source, texts.index(text)))
+                                      _offset(pieces, texts.index(text)))
         filters = tuple(parts[1:])
         for name in filters:
             if name not in FILTERS:
                 raise TemplateSyntaxError(f"unknown filter {name!r}",
-                                          _offset(source, texts.index(text)))
+                                          _offset(pieces, texts.index(text)))
         expansions.append(Expansion(segments, filters, "{{" + text + "}}"))
     return Template(tuple(pieces[::3]), tuple(expansions),
                     tuple(map(numbers.__getitem__, texts)))
 
 
-def _offset(source: str, occurrence: int) -> int:
-    """Where the expansion at ``occurrence`` starts in ``source``."""
-    return next(islice(_EXPANSION_RE.finditer(source), occurrence,
-                       None)).start()
+def _offset(pieces: list[str | None], occurrence: int) -> int:
+    """Where the expansion at ``occurrence`` starts in the source that
+    split into ``pieces``: after the literals and texts before it, and
+    the four braces of each expansion before it, all terminated."""
+    return (sum(map(len, filter(None, pieces[:3 * occurrence + 1])))
+            + 4 * occurrence)
 
 
 def resolve_path(env: Environment, path: tuple[str, ...], *,

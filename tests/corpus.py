@@ -424,5 +424,6 @@ SNIPPETS = [
 def build_snippet(case: SnippetCase, seed: int = 0):
     """Materialize a snippet with a real token and matching registry."""
     registry = SinkRegistry(seed=seed)
-    token = registry.register(frozenset({("src.value", ())}), f"snippet:{case.name}")
+    token = registry.register_all([frozenset({("src.value", ())})],
+                                  [f"snippet:{case.name}"])[0]
     return case.build(token), registry, token

@@ -190,7 +190,8 @@ def reference_render(template, env, *, seed=None, mode=TrackingMode.FULL):
         if not value.safe_marked:
             value = html_escape(value)
         if value.taint:
-            document += registry.register(value.taint, f"template:{i}")
+            document += registry.register_all([value.taint],
+                                              [f"template:{i}"])[0]
         document += value.text
         clean += value.text
     document += template.literals[-1]

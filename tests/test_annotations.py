@@ -21,12 +21,13 @@ from ctxcheck.sanitizers import html_escape, js_escape, mark_safe, url_encode
 from ctxcheck.taint import make_source, untainted
 from ctxcheck.template import parse_template, render
 
-from oracles import remove_literal_occurrences, replace_loop_strip
+from oracles import random_token, remove_literal_occurrences, replace_loop_strip
+
+_TAINT = frozenset({("o", ())})
 
 
 def test_token_shape():
-    registry = SinkRegistry(seed=0)
-    token = registry.new_token()
+    token = SinkRegistry(seed=0).register_all([_TAINT], ["s"])[0]
     assert len(token) == TOKEN_LENGTH == 36
     assert token.startswith("xtnt")
     assert TOKEN_RE.fullmatch(token)
@@ -40,7 +41,9 @@ def test_token_shape():
 
 
 def test_seeded_registries_produce_identical_tokens():
-    assert SinkRegistry(seed=5).new_token() == SinkRegistry(seed=5).new_token()
+    first, second = (SinkRegistry(seed=5).register_all([_TAINT], ["s"])
+                     for _ in range(2))
+    assert first == second
 
 
 def test_a_registry_draws_its_tokens_from_a_generator_made_when_first_needed():
@@ -51,19 +54,19 @@ def test_a_registry_draws_its_tokens_from_a_generator_made_when_first_needed():
                            side_effect=AssertionError("generator made")):
         registry = SinkRegistry(seed=5)
         registry.add("xtnt" + "0" * 32, frozenset({("o", ())}), "s")
-    drawn = [registry.new_token() for _ in range(3)]
-    assert drawn == ["xtnt%032x" % rng.getrandbits(128) for _ in range(3)]
+    drawn = [registry.register_all([_TAINT], ["s"])[0] for _ in range(3)]
+    assert drawn == [random_token(rng) for _ in range(3)]
 
 
 @settings(deadline=None)
 @given(st.integers(0, 2**64), st.integers(0, 40))
 def test_a_render_draws_the_tokens_successive_single_draws_give(seed, count):
     # One draw for every sink of a render, cut into chunks, gives the
-    # tokens that one draw per sink gives.
+    # tokens that one 128-bit draw per sink gives.
     template = parse_template("<p>{{a}}</p>{{b|escapejs}}" * count + "x")
     _, registry, _ = render(template, {"a": "1", "b": "2"}, seed=seed)
-    single = SinkRegistry(seed=seed)
-    assert registry.tokens() == tuple(single.new_token()
+    rng = random.Random(seed)
+    assert registry.tokens() == tuple(random_token(rng)
                                       for _ in range(2 * count))
 
 
@@ -86,11 +89,12 @@ def test_a_draw_skips_registered_and_repeated_chunks_and_draws_again():
     # Chunk 1 is registered and chunk 2 repeats, so the draw of three
     # comes up two short and then one short, and gives what single
     # registrations give.
-    taints, sinks = [frozenset({("o", ())})] * 3, ["s0", "s1", "s2"]
+    taints, sinks = [_TAINT] * 3, ["s0", "s1", "s2"]
     drawn, fakes = [], []
     for register in (lambda registry: registry.register_all(taints, sinks),
-                     lambda registry: list(map(registry.register, taints,
-                                               sinks))):
+                     lambda registry: [
+                         registry.register_all([taint], [sink])[0]
+                         for taint, sink in zip(taints, sinks)]):
         fakes.append(_RepeatingBits([1, 2, 2, 1, 3, 4]))
         with mock.patch.object(random, "Random", return_value=fakes[-1]):
             registry = SinkRegistry(seed=5)
@@ -144,9 +148,9 @@ def test_registry_size_equals_tainted_emissions():
 def test_registry_rejects_untainted_and_duplicates():
     registry = SinkRegistry(seed=0)
     with pytest.raises(RegistrationError):
-        registry.register(frozenset(), "s")
-    token = registry.register(frozenset({("o", ())}), "s")
-    assert token in registry and registry.new_token() not in registry
+        registry.register_all([frozenset()], ["s"])
+    token = registry.register_all([_TAINT], ["s"])[0]
+    assert token in registry and random_token(random.Random(1)) not in registry
     assert registry != {token: registry[token]}
     with pytest.raises(RegistrationError):
         registry.add(token, frozenset({("o", ())}), "s")
@@ -179,8 +183,8 @@ def test_strip_removes_all_tokens_in_order():
 
 def test_strip_flags_residue_from_builder_misuse():
     registry = SinkRegistry(seed=0)
-    token = registry.register(frozenset({("o", ())}), "s")
-    other = SinkRegistry(seed=1).new_token()
+    token = registry.register_all([_TAINT], ["s"])[0]
+    other = random_token(random.Random(1))
     registry.add(other, frozenset({("o", ())}), "s")
     # Removing `other` (processed second) reveals `token`, which the
     # earlier pass already missed.
@@ -191,8 +195,8 @@ def test_strip_flags_residue_from_builder_misuse():
 
 def test_strip_flags_token_revealed_whatever_the_registry_order():
     registry = SinkRegistry(seed=0)
-    token = registry.register(frozenset({("o", ())}), "s")
-    other = SinkRegistry(seed=1).new_token()
+    token = registry.register_all([_TAINT], ["s"])[0]
+    other = random_token(random.Random(1))
     registry.add(other, frozenset({("o", ())}), "s")
     # Removing `token` joins the halves of `other` around it.  The
     # replace loop happens to remove `other` afterwards because it comes
@@ -210,9 +214,8 @@ def test_strip_flags_a_residue_split_at_every_cut(left):
     between other removals, is kept when unregistered and raised when
     registered, wherever the removal splits it."""
     registry = SinkRegistry(seed=0)
-    first, inner, last = (registry.register(frozenset({("o", ())}), "s")
-                          for _ in range(3))
-    outer = SinkRegistry(seed=1).new_token()
+    first, inner, last = registry.register_all([_TAINT] * 3, ["s"] * 3)
+    outer = random_token(random.Random(1))
     documents = [before + outer[:left] + middle + outer[left:] + after
                  for middle in (inner, inner + last)
                  for before, after in (("", ""), (first, last),
@@ -229,9 +232,8 @@ def test_strip_flags_a_residue_split_at_every_cut(left):
 
 
 _REGISTERED = SinkRegistry(seed=7)
-for _ in range(3):
-    _REGISTERED.register(frozenset({("o", ())}), "s")
-_UNREGISTERED = [SinkRegistry(seed=8 + i).new_token() for i in range(2)]
+_REGISTERED.register_all([_TAINT] * 3, ["s"] * 3)
+_UNREGISTERED = [random_token(random.Random(8 + i)) for i in range(2)]
 _TOKENS = list(_REGISTERED.tokens()) + _UNREGISTERED
 
 

@@ -9,7 +9,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ctxcheck import browser as browser_module
@@ -18,12 +18,12 @@ from ctxcheck.browser import MAX_NESTING, MissingToken, ModelBrowser, analyze
 from ctxcheck.contexts import BrowserContext as C
 
 from corpus import SNIPPETS, build_snippet
-from oracles import URI_ATTRIBUTES, ReferenceBrowser
+from oracles import URI_ATTRIBUTES, ReferenceBrowser, random_token
 
 
 def _registry_with_token(seed=0):
     registry = SinkRegistry(seed=seed)
-    token = registry.register(frozenset({("o", ())}), "s")
+    token = registry.register_all([frozenset({("o", ())})], ["s"])[0]
     return registry, token
 
 
@@ -88,7 +88,7 @@ def test_analyze_is_deterministic():
 
 def test_unregistered_token_shapes_are_plain_text():
     registry, token = _registry_with_token()
-    stranger = SinkRegistry(seed=99).new_token()
+    stranger = random_token(random.Random(99))
     findings = analyze(f"<p>{token} {stranger}</p>", registry)
     assert [f.token for f in findings] == [token]
 
@@ -582,7 +582,7 @@ def test_forgiving_scan_always_locates_the_token(pieces, at):
     # Arbitrary markup soup around one token: the scan must neither
     # crash nor lose the token, whatever broken construct surrounds it.
     registry = SinkRegistry(seed=1)
-    token = registry.register(frozenset({("o", ())}), "s")
+    token = registry.register_all([frozenset({("o", ())})], ["s"])[0]
     pieces = list(pieces)
     pieces.insert(min(at, len(pieces)), token)
     document = "".join(pieces)
@@ -662,9 +662,9 @@ def test_a_token_in_a_declaration_or_unclosed_end_tag_is_unknown_from_its_lt(
 
 
 _CLASSIFY_REGISTRY = SinkRegistry(seed=6)
-_A, _B = (_CLASSIFY_REGISTRY.register(frozenset({("o", ())}), f"s{i}")
-          for i in range(2))
-_STRANGER = SinkRegistry(seed=99).new_token()
+_A, _B = _CLASSIFY_REGISTRY.register_all([frozenset({("o", ())})] * 2,
+                                         ["s0", "s1"])
+_STRANGER = random_token(random.Random(99))
 
 
 @pytest.mark.parametrize("text, lo, hi, expected", [
@@ -714,8 +714,13 @@ def test_a_long_text_without_markup_finds_its_last_token():
 
 
 _REFERENCE_REGISTRY = SinkRegistry(seed=4)
-_REFERENCE_TOKENS = tuple(
-    _REFERENCE_REGISTRY.register(frozenset({("o", ())}), f"s{i}") for i in range(2))
+_REFERENCE_TOKENS = tuple(_REFERENCE_REGISTRY.register_all(
+    [frozenset({("o", ())})] * 2, ["s0", "s1"]))
+# A base64 data: page that spells a registered token only once decoded,
+# and one whose payload is a registered token that decoding destroys.
+_BASE64_PAGE = ('<iframe src="data:text/html;base64,' + base64.b64encode(
+    f"<p>{_REFERENCE_TOKENS[1]}</p>".encode()).decode() + '">')
+_BASE64_TOKEN = f"<a href=data:text/html;base64,{_REFERENCE_TOKENS[0]}>"
 FRAGMENTS = (
     # tags, quoted and unquoted attributes
     "<", ">", "</", "/>", "<p>", "<P>", "<br/>", "<p/>", "<a ", "<a href=",
@@ -753,17 +758,25 @@ FRAGMENTS = (
     # references without ";", which a token's letter keeps as written
     "&quot", "&lt", "&notin",
     # registered tokens, and an unregistered one
-    *_REFERENCE_TOKENS, SinkRegistry(seed=99).new_token(),
+    *_REFERENCE_TOKENS, random_token(random.Random(99)),
     # a registered token that only entity, percent or CSS-escape
     # decoding spells
     "&#x78;" + _REFERENCE_TOKENS[0][1:], "%78" + _REFERENCE_TOKENS[0][1:],
     "\\78 " + _REFERENCE_TOKENS[0][1:],
+    # whole base64 data: URLs that decode without error
+    _BASE64_PAGE, _BASE64_TOKEN,
 )
 
 
 @settings(max_examples=600, deadline=None)
 @given(st.lists(st.sampled_from(FRAGMENTS), min_size=20, max_size=60),
        st.integers(min_value=0, max_value=64))
+@example([_BASE64_PAGE], 0)
+@example([_BASE64_TOKEN], 64)
+# A tag that ends at the end of the text after whitespace, and a stray
+# "=" where an attribute name goes.
+@example(["<p>", "<a "], 0)
+@example(["<a ", "=", "'v'", ">"], 0)
 def test_scanners_match_the_reference_browser(pieces, short):
     """Each scan entry point gives the findings of ReferenceBrowser, the
     hand-written scanners the lexer tables replaced, and scans no more
@@ -916,8 +929,8 @@ def test_scanners_match_the_reference_browser_at_scale(name):
     value longer than a stride may cover."""
     rng = random.Random(name)
     registry = SinkRegistry(seed=5)
-    tokens = [registry.register(frozenset({("o", ())}), f"s{i}")
-              for i in range(50)]
+    tokens = registry.register_all([frozenset({("o", ())})] * 50,
+                                   [f"s{i}" for i in range(50)])
     pieces = _AT_SCALE[name](rng)
     places = sorted(rng.sample(range(len(pieces) + 1), len(tokens)),
                     reverse=True)
@@ -1208,8 +1221,8 @@ def test_a_numeric_entity_in_a_token_free_value_changes_no_finding(elements,
        st.lists(st.integers(min_value=0, max_value=80), min_size=1, max_size=3))
 def test_analyze_finds_the_registered_tokens_or_reports_one_missing(pieces, places):
     registry = SinkRegistry(seed=7)
-    tokens = [registry.register(frozenset({("o", ())}), f"s{i}")
-              for i in range(len(places))]
+    tokens = registry.register_all([frozenset({("o", ())})] * len(places),
+                                   [f"s{i}" for i in range(len(places))])
     pieces = list(pieces)
     for token, at in zip(tokens, places):
         pieces.insert(min(at, len(pieces)), token)

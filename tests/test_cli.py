@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import runpy
 import sys
@@ -14,7 +15,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctxcheck import cli as cli_module
-from ctxcheck.annotations import SinkRegistry
 from ctxcheck.browser import analyze
 from ctxcheck.bundle import dump_bundle
 from ctxcheck.cli import _report_json, main
@@ -32,7 +32,7 @@ from corpus import (
     TEMPLATE_CASES,
     TemplateCase,
 )
-from oracles import reference_report_dict
+from oracles import random_token, reference_report_dict
 
 
 def _write_case(tmp_path, case):
@@ -334,7 +334,7 @@ def test_check_clean_document_keeps_a_value_that_spells_a_seeded_token(
     # The value spells the token --seed 0 gives its sink.  The page
     # without annotations holds the value as written; stripping every
     # registered occurrence wrote <p></p>.
-    token = SinkRegistry(seed=0).new_token()
+    token = random_token(random.Random(0))
     template = tmp_path / "page.tpl"
     env = tmp_path / "env.json"
     clean_path = tmp_path / "clean.html"
@@ -718,7 +718,7 @@ _JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(_ANY_TEXT, inner, max_size=3),
     max_leaves=12)
-_FUZZ_TOKENS = tuple(SinkRegistry(seed=6).new_token() for _ in range(3))
+_FUZZ_TOKENS = tuple(random_token(random.Random(6)) for _ in range(3))
 # The sanitizer ids the default map knows, and one it does not.
 _SANITIZER_IDS = st.sampled_from(
     ("html_escape", "js_escape", "url_encode", "safe", "unknown"))

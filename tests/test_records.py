@@ -83,7 +83,7 @@ def test_records_compare_by_value_and_cannot_change(record, same, other,
 
 def test_bundle_compares_by_value_and_cannot_change():
     registry = SinkRegistry(seed=1)
-    registry.register(_TAINT, "s")
+    registry.register_all([_TAINT], ["s"])
     bundle = Bundle("<p>", registry)
     assert bundle == Bundle(document="<p>", registry=registry)
     assert bundle != Bundle("<p>", SinkRegistry())

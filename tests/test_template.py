@@ -111,6 +111,9 @@ _EXPANSIONS = st.builds(
 @example("{{{x}}}")
 @example("{{a {{b}}")
 @example("{{a}}{{ a }}{{a|escape}}{{a}}")
+@example("{{a}}}")
+@example("{{a}b}}")
+@example("{{}}}")
 def test_parse_matches_the_find_walk(source):
     try:
         literals, expansions = reference_parse(source)
@@ -133,7 +136,8 @@ def test_parse_matches_the_find_walk(source):
 def test_parse_is_linear_on_unterminated_braces():
     # A search for "}}" from every "{{" would read the rest of the source
     # each time: 8,000 "{" took 0.56 s that way.
-    cases = {"{" * 200_000: 0, "{{x" * 70_000: 0, "{{a}}" + "{" * 200_000: 5}
+    cases = {"{" * 200_000: 0, "{{x" * 70_000: 0, "{{a}}" + "{" * 200_000: 5,
+             "{{" + "}a" * 100_000: 0, "{{a}b" * 50_000: 0}
     for source, offset in cases.items():
         started = time.perf_counter()
         with pytest.raises(TemplateSyntaxError) as err:

@@ -102,7 +102,7 @@ def test_classify_is_total_on_insufficient_inputs():
 
 def _finding_registry(entries, context):
     registry = SinkRegistry(seed=0)
-    token = registry.register(frozenset(entries), "sink:0")
+    token = registry.register_all([frozenset(entries)], ["sink:0"])[0]
     return [Finding(token, context)], registry
 
 
@@ -132,7 +132,7 @@ def test_verify_empty_findings():
 
 def test_verify_deduplicates_by_triple_and_context():
     registry = SinkRegistry(seed=0)
-    token = registry.register(frozenset({("a", ())}), "sink:0")
+    token = registry.register_all([frozenset({("a", ())})], ["sink:0"])[0]
     findings = [Finding(token, (C.HtmlText,)), Finding(token, (C.HtmlText,))]
     assert len(verify(findings, registry, CMAP)) == 1
 
@@ -153,7 +153,7 @@ def test_verify_decides_each_chain_and_context_pair_once(monkeypatch):
     findings = []
     for i in range(60):
         taint = frozenset({(f"o{i % 5}", rng.choice(chains))})
-        token = registry.register(taint, f"s{i % 7}")
+        token = registry.register_all([taint], [f"s{i % 7}"])[0]
         findings.append(Finding(token, rng.choice(contexts)))
     verdicts = verify(findings, registry, CMAP)
     assert len(calls) == len(set(calls))
@@ -216,8 +216,8 @@ def test_aggregate_counts_unique_triples():
     # The same origin and chain reaching two distinct sinks makes two
     # triples; the same triple seen twice stays one.
     registry = SinkRegistry(seed=0)
-    tok1 = registry.register(frozenset({("a", ("html_escape",))}), "s1")
-    tok2 = registry.register(frozenset({("a", ("html_escape",))}), "s2")
+    tok1, tok2 = registry.register_all(
+        [frozenset({("a", ("html_escape",))})] * 2, ["s1", "s2"])
     findings = [Finding(tok1, (C.HtmlAttrDq, C.Uri)),
                 Finding(tok2, (C.HtmlAttrDq, C.Uri)),
                 Finding(tok2, (C.HtmlAttrDq, C.Uri))]
@@ -235,8 +235,9 @@ def test_aggregate_counts_unique_triples():
 
 def test_aggregate_partitions_triples():
     registry = SinkRegistry(seed=0)
-    good = registry.register(frozenset({("a", ("html_escape",))}), "s1")
-    bad = registry.register(frozenset({("b", ())}), "s2")
+    good, bad = registry.register_all(
+        [frozenset({("a", ("html_escape",))}), frozenset({("b", ())})],
+        ["s1", "s2"])
     findings = [Finding(good, (C.HtmlText,)), Finding(bad, (C.HtmlText,))]
     summary = aggregate(verify(findings, registry, CMAP))
     assert summary.correct + summary.incorrect == summary.sanitizations == 2
@@ -303,8 +304,9 @@ def _verifier_inputs(draw):
     """A map, a registry of any taints and sinks, and findings of its
     tokens in any contexts, a token in several or none."""
     registry = SinkRegistry(seed=draw(st.integers(0, 2 ** 32)))
-    tokens = [registry.register(taint, draw(st.sampled_from(("p:0", "p:1"))))
-              for taint in draw(st.lists(_TAINTS, min_size=1, max_size=4))]
+    taints = draw(st.lists(_TAINTS, min_size=1, max_size=4))
+    tokens = registry.register_all(
+        taints, [draw(st.sampled_from(("p:0", "p:1"))) for _ in taints])
     findings = [Finding(token, context, token) for token, context in draw(
         st.lists(st.tuples(st.sampled_from(tokens), _CONTEXTS), max_size=6))]
     return findings, registry, draw(_MAPS)

@@ -15,10 +15,11 @@ formats and through ``render --seed 0``.  Each tree runs in its own
 process.  The inputs are written to a temporary directory; nothing
 under ``benchmarks/`` is changed.
 
-Prints the number of runs and of those whose standard output, standard
-error or exit code differs between the trees, then the input and format
-of each differing run, and where the first of them differs.  Exits 1 if any
-run differs, 2 if a tree cannot be run, and 0 otherwise.
+Prints the number of runs (1933 at present) and of those whose standard
+output, standard error or exit code differs between the trees, then the
+input and format of each differing run, and where the first of them
+differs.  Exits 1 if any run differs, 2 if a tree cannot be run, and 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -161,8 +162,9 @@ def edge_templates() -> list[tuple[str, str]]:
     whose parsing or expansion the benchmark inputs do not reach:
     expansions back to back and at both ends of the source, one written
     with and without spaces, paths that are missing or end at a list,
-    null, boolean or mapping, numbers under both modes, and each syntax
-    error."""
+    null, boolean or mapping, numbers under both modes, each syntax
+    error, a "}" right after an expansion's "}}" or inside its text, and
+    errors after 300 expansions."""
     numbers = ("<p title={{n}}>{{f|urlencode}}</p>"
                "<script>var n = {{n}};</script>")
     return [
@@ -176,6 +178,9 @@ def edge_templates() -> list[tuple[str, str]]:
         ("<p>{{a}}</p> {{", "full"),
         ("{{a}} {{b..c}}", "full"),
         ("{{a}}{{ a | shout }}", "full"),
+        ("<p>{{a}}}</p>{{ a }}}}{{b}}", "full"),
+        ("{{a}}" * 300 + "{{a}b}}{{a}}{{a}b}}", "full"),
+        ("{{a}}" * 300 + " {{", "full"),
     ]
 
 
