@@ -191,17 +191,20 @@ def test_criterion_5_annotation_round_trip_and_decoder_fixed_point():
 
 
 def test_criterion_6_context_resolution_table():
-    assert len(SNIPPETS) >= 20
-    names = {case.name for case in SNIPPETS}
+    # A known gap, a row that names the item that closes it, is a strict
+    # expected failure of test_snippet_contexts instead.
+    cases = [case for case in SNIPPETS if case.closes is None]
+    assert len(cases) >= 20
+    names = {case.name for case in cases}
     assert "data-html-nested" in names
     assert "javascript-uri-string" in names
-    for case in SNIPPETS:
+    for case in cases:
         document, registry, token = build_snippet(case, seed=2)
         findings = analyze(document, registry)
         assert len(findings) == 1, case.name
         resolved = tuple(ctx.value for ctx in findings[0].context)
         assert resolved == case.expected, (case.name, resolved)
-    _passed(f"criterion 6: {len(SNIPPETS)} snippets resolve to their "
+    _passed(f"criterion 6: {len(cases)} snippets resolve to their "
             "exact context sequences")
 
 

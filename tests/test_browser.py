@@ -56,7 +56,10 @@ def _scan(kind, text, registry, prefix=()):
     return browser.findings
 
 
-@pytest.mark.parametrize("case", SNIPPETS, ids=lambda c: c.name)
+@pytest.mark.parametrize("case", [
+    pytest.param(case, id=case.name, marks=[
+        pytest.mark.xfail(strict=True, reason=case.closes)] if case.closes else [])
+    for case in SNIPPETS])
 def test_snippet_contexts(case):
     document, registry, token = build_snippet(case)
     findings = analyze(document, registry)
@@ -93,32 +96,23 @@ def test_unregistered_token_shapes_are_plain_text():
     assert [f.token for f in findings] == [token]
 
 
-def test_finding_excerpt_surrounds_token():
-    registry, token = _registry_with_token()
-    findings = analyze(f"<p>left margin {token} right margin</p>", registry)
-    assert token in findings[0].excerpt
-    assert "left margin" in findings[0].excerpt
-
-
 def test_html_scan_event_handler():
     registry, token = _registry_with_token()
     findings = _scan("html", f"<div onclick=\"f('{token}')\">", registry)
     assert findings[0].context == (C.HtmlAttrDq, C.JsStringSq)
 
 
-def test_html_scan_comment_and_script_src():
+def test_prefix_is_prepended():
     registry, token = _registry_with_token()
-    assert _scan("html", f"<!-- {token} -->", registry)[0].context == \
-        (C.HtmlComment,)
-    assert _scan("html", f'<script src="{token}">', registry)[0].context == \
-        (C.HtmlAttrDq, C.UriScriptSrc)
+    findings = _scan("js", f"'{token}'", registry, (C.HtmlScriptData,))
+    assert findings[0].context == (C.HtmlScriptData, C.JsStringSq)
 
 
-def test_html_scan_attribute_values_are_entity_decoded():
+def test_finding_excerpt_surrounds_token():
     registry, token = _registry_with_token()
-    value = f"javascript:alert(&#x27;{token}&#x27;)"
-    findings = _scan("html", f'<a href="{value}">', registry)
-    assert findings[0].context == (C.HtmlAttrDq, C.Uri, C.JsStringSq)
+    findings = analyze(f"<p>left margin {token} right margin</p>", registry)
+    assert token in findings[0].excerpt
+    assert "left margin" in findings[0].excerpt
 
 
 # The contexts that a value of each kind adds after HtmlAttrDq.
@@ -166,56 +160,6 @@ def test_a_reference_before_a_token_is_read_both_ways(value, contexts):
     reference = ReferenceBrowser(registry)
     reference.html_scan(document)
     assert findings == reference.findings
-
-
-def test_script_content_is_not_entity_decoded():
-    registry, token = _registry_with_token()
-    # &quot; must not open a string inside script data.
-    findings = _scan("html", f"<script>f(&quot;{token});</script>", registry)
-    assert findings[0].context == (C.HtmlScriptData, C.JsCode)
-
-
-def test_js_scan_positions():
-    registry, token = _registry_with_token()
-    assert _scan("js", f'page.open("x", {token});', registry)[0].context == \
-        (C.JsCode,)
-    assert _scan("js", f"var l = '{token}';", registry)[0].context == \
-        (C.JsStringSq,)
-    assert _scan("js", f"/* {token} */", registry)[0].context == (C.JsComment,)
-
-
-def test_js_scan_strings_are_terminal():
-    registry, token = _registry_with_token()
-    findings = _scan("js", f'var html = "<b>{token}</b>";', registry)
-    assert findings[0].context == (C.JsStringDq,)
-
-
-def test_js_scan_escaped_quote_stays_in_string():
-    registry, token = _registry_with_token()
-    findings = _scan("js", f'var s = "a\\"b {token}";', registry)
-    assert findings[0].context == (C.JsStringDq,)
-
-
-def test_css_scan_positions():
-    registry, token = _registry_with_token()
-    assert _scan("css", f"color: {token}", registry)[0].context == \
-        (C.CssDeclValue,)
-    assert _scan("css", f"background: url({token})", registry)[0].context == \
-        (C.Uri,)
-    assert _scan("css", f'content: "{token}"', registry)[0].context == \
-        (C.CssString,)
-
-
-def test_css_scan_selector_position_is_unknown():
-    registry, token = _registry_with_token()
-    findings = _scan("css", f"{token} {{ color: red }}".replace("{{", "{"), registry)
-    assert findings[0].context == (C.Unknown,)
-
-
-def test_css_url_quoted_and_escaped():
-    registry, token = _registry_with_token()
-    findings = _scan("css", f'background: url("{token}")', registry)
-    assert findings[0].context == (C.Uri,)
 
 
 def test_a_css_escape_of_zero_or_a_surrogate_is_a_replacement_character():
@@ -487,12 +431,6 @@ def test_uri_scan_percent_decodes_javascript_body():
     assert findings[0].context == (C.Uri, C.JsStringSq)
 
 
-def test_prefix_is_prepended():
-    registry, token = _registry_with_token()
-    findings = _scan("js", f"'{token}'", registry, (C.HtmlScriptData,))
-    assert findings[0].context == (C.HtmlScriptData, C.JsStringSq)
-
-
 def test_depth_equals_scan_invocations_on_single_token_paths():
     cases = [
         ("<p>@T@</p>", 1),
@@ -589,34 +527,6 @@ def test_forgiving_scan_always_locates_the_token(pieces, at):
     findings = analyze(document, registry)
     assert [f.token for f in findings] == [token]
     assert len(findings[0].context) >= 1
-
-
-def test_forgiving_on_malformed_markup():
-    registry, token = _registry_with_token()
-    for document, expected in [
-        (f"<{token}>", (C.Unknown,)),
-        (f"<p {token}=1>", (C.Unknown,)),
-        (f"<p class='{token}", (C.Unknown,)),
-        (f"stray < here {token}", (C.HtmlText,)),
-        (f"<p><b>{token}", (C.HtmlText,)),
-    ]:
-        findings = analyze(document, registry)
-        assert findings[0].context == expected, document
-
-
-def test_attribute_free_tags_and_raw_text_tags_of_any_case():
-    # Attribute-free tags end as tags, and those that open script or
-    # style content do so whatever their case.
-    registry, token = _registry_with_token()
-    for document, expected in [
-        (f"<SCRIPT>var s='{token}'</SCRIPT>", (C.HtmlScriptData, C.JsStringSq)),
-        (f"<Style >a{{color: {token}}}</style>", (C.HtmlStyleData, C.CssDeclValue)),
-        (f"<p>{token}", (C.HtmlText,)),
-        (f"<br/>{token}", (C.HtmlText,)),
-        (f"<p/>{token}", (C.HtmlText,)),
-    ]:
-        findings = analyze(document, registry)
-        assert [f.context for f in findings] == [expected], document
 
 
 @pytest.mark.parametrize("document, expected", [

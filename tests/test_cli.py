@@ -117,6 +117,21 @@ def test_check_clean_fixture_exits_zero(tmp_path, capsys):
     assert report["summary"]["correct"] == report["summary"]["sanitizations"] == 4
 
 
+# An expansion that renders no token, here from a missing path or a list
+# leaf, gets no verdict, and the exit code stays 0.  ROADMAP item 9 names
+# it in the report; until it defines the field, the sink id is looked for
+# anywhere in the report.
+@pytest.mark.xfail(strict=True, reason="item 9")
+@pytest.mark.parametrize("env", [{"a": "x"}, {"q": ["a", "b"], "a": "x"}],
+                         ids=["missing-path", "list-leaf"])
+def test_an_unchecked_expansion_is_named_in_the_report(tmp_path, capsys, env):
+    case = TemplateCase("unchecked", "<script>var s = {{q}};</script><p>{{a}}</p>",
+                        env, {})
+    code, report = _check(tmp_path, capsys, case, "--seed", "0")
+    assert code == 0
+    assert "template:0" in json.dumps(report)
+
+
 def test_mode_decides_whether_a_number_keeps_its_taint(tmp_path, capsys):
     # Under no-numeric a number's taint ends where it is converted, so
     # nothing reaches the sink.  The library's third mode differs from
@@ -718,7 +733,7 @@ _JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(_ANY_TEXT, inner, max_size=3),
     max_leaves=12)
-_FUZZ_TOKENS = tuple(random_token(random.Random(6)) for _ in range(3))
+_FUZZ_TOKENS = tuple(map(random_token, [random.Random(6)] * 3))
 # The sanitizer ids the default map knows, and one it does not.
 _SANITIZER_IDS = st.sampled_from(
     ("html_escape", "js_escape", "url_encode", "safe", "unknown"))

@@ -7,19 +7,21 @@ as a checkout's ``src``, or a checkout whose ``src`` holds it.  Every
 input that ``benchmarks/workloads.py`` generates for seeds 1 and 2 is
 run through ``ctxcheck.cli.main`` once with ``--format json`` and once
 with ``--format text``; ``check`` also gets ``--seed 0``, so that its
-tokens are the same in both trees.  So is each of ``edge_documents()``,
-markup the benchmark inputs hold none of, written as a bundle and run
-through ``analyze``.  Each of ``edge_templates()``, template shapes the
-benchmark inputs hold none of, runs through ``check --seed 0`` in both
-formats and through ``render --seed 0``.  Each tree runs in its own
-process.  The inputs are written to a temporary directory; nothing
-under ``benchmarks/`` is changed.
+tokens are the same in both trees.  Each of ``edge_documents()``,
+markup the benchmark inputs hold none of, is written as a bundle and
+run through ``analyze --format json``, through ``analyze --format text
+--clean-out`` and through ``contexts``.  Each of ``edge_templates()``,
+template shapes the benchmark inputs hold none of, runs through ``check
+--seed 0 --format json``, through ``check --seed 0 --format text
+--clean-out``, and through ``render --seed 0`` with and without
+``--out``.  Each tree runs in its own process.  The inputs are written
+to a temporary directory; nothing under ``benchmarks/`` is changed.
 
-Prints the number of runs (1933 at present) and of those whose standard
-output, standard error or exit code differs between the trees, then the
-input and format of each differing run, and where the first of them
-differs.  Exits 1 if any run differs, 2 if a tree cannot be run, and 0
-otherwise.
+Prints the number of runs (2015 at present) and of those whose standard
+output, standard error, exit code or written file differs between the
+trees, then the input and format of each differing run, and where the
+first of them differs.  Exits 1 if any run differs, 2 if a tree cannot
+be run, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -56,8 +58,11 @@ def edge_documents() -> list[str]:
     without its ";", data: and javascript: scheme and MIME type forms,
     script and style bodies whose next token prefix lies in their tag,
     after a wide character, past an unclosed end or after them, //
-    comments that a line terminator other than LF ends, and javascript:
-    links with and without "%" where a stride runs up to them.
+    comments that a line terminator other than LF ends, javascript:
+    links with and without "%" where a stride runs up to them, data:
+    URLs nested past the cap, an attribute value left open, a token in a
+    script's source, text after a url()'s closing quote, and a base64
+    payload that does not decode.
     A token is registered when the document spells it whole or with its
     "x" escaped."""
     a, b, c = EDGE_CHAINS
@@ -154,6 +159,15 @@ def edge_documents() -> list[str]:
         f"{inert}<a href=\"javascript:a&amp;&amp;b:c\">x</a><a href=\""
         f"javascript:f(&quot;{c}&quot;)\">y</a>{inert}"
         f"<a href=\" javascript:void(0)\" title=\"&#x78;{a[1:]}\">w</a>",
+        # data: URLs nested past the cap, an attribute value the page
+        # leaves open, a token in a script's source, text between a
+        # url()'s closing quote and its ")", and a base64 payload of 37
+        # characters, which does not decode
+        "<iframe/src=data:text/html," * 40 + a,
+        f"<p title='{a}",
+        f"<script src=\"{a}\"></script>",
+        f"<b style=\"background:url('x' {a})\">",
+        f"<iframe src=\"data:text/html;base64,{a}x\">",
     ]
 
 
@@ -184,12 +198,18 @@ def edge_templates() -> list[tuple[str, str]]:
     ]
 
 
+# An argument that the child replaces with a file of its own, which the
+# run writes with --out or --clean-out (RUNNER spells it out).
+WRITTEN = "@written@"
 # Runs in the child: SRC RUNS OUT.  One JSON line per run in OUT:
-# [exit code, stdout, stderr].  An exception that escapes main is
-# recorded by its last traceback line, which names no file of the tree.
+# [exit code, stdout, stderr, written], where written is the bytes of
+# the file a WRITTEN argument names, read as Latin-1, or null if the run
+# wrote none.  An exception that escapes main is recorded by its last
+# traceback line, which names no file of the tree.
 RUNNER = r"""
 import contextlib, io, json, os, sys, traceback
 src, runs, out = sys.argv[1:]
+written = out + ".written"
 sys.path.insert(0, src)
 import ctxcheck.cli
 if not os.path.abspath(ctxcheck.cli.__file__).startswith(src + os.sep):
@@ -198,6 +218,9 @@ with open(runs, encoding="utf-8") as handle:
     argvs = json.load(handle)
 with open(out, "w", encoding="utf-8") as results:
     for argv in argvs:
+        argv = [written if arg == "@written@" else arg for arg in argv]
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(written)
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(stderr):
@@ -207,8 +230,13 @@ with open(out, "w", encoding="utf-8") as results:
                 code = exc.code
             except Exception as exc:
                 code = traceback.format_exception_only(type(exc), exc)[-1]
+        try:
+            with open(written, "rb") as handle:
+                data = handle.read().decode("latin-1")
+        except FileNotFoundError:
+            data = None
         results.write(json.dumps([code, stdout.getvalue(),
-                                  stderr.getvalue()]) + "\n")
+                                  stderr.getvalue(), data]) + "\n")
 """
 
 
@@ -261,9 +289,12 @@ def write_runs(work: str) -> list:
                     if token[1:] in document}
         with open(path, "w", encoding="utf-8") as handle:
             json.dump({"document": document, "registry": registry}, handle)
-        for fmt in FORMATS:
-            runs.append((f"edge document {number} --format {fmt}",
-                         ["analyze", path, "--format", fmt]))
+        runs.append((f"edge document {number} --format json",
+                     ["analyze", path, "--format", "json"]))
+        runs.append((f"edge document {number} --format text --clean-out",
+                     ["analyze", path, "--format", "text",
+                      "--clean-out", WRITTEN]))
+        runs.append((f"edge document {number} contexts", ["contexts", path]))
     env = os.path.join(work, "edge-env.json")
     with open(env, "w", encoding="utf-8") as handle:
         json.dump(EDGE_ENV, handle)
@@ -273,10 +304,14 @@ def write_runs(work: str) -> list:
             handle.write(source)
         label = f"edge template {number} --mode {mode}"
         argv = [path, env, "--seed", "0", "--mode", mode]
-        for fmt in FORMATS:
-            runs.append((f"{label} check --format {fmt}",
-                         ["check", *argv, "--format", fmt]))
+        runs.append((f"{label} check --format json",
+                     ["check", *argv, "--format", "json"]))
+        runs.append((f"{label} check --format text --clean-out",
+                     ["check", *argv, "--format", "text",
+                      "--clean-out", WRITTEN]))
         runs.append((f"{label} render", ["render", *argv]))
+        runs.append((f"{label} render --out",
+                     ["render", *argv, "--out", WRITTEN]))
     return runs
 
 
@@ -323,10 +358,11 @@ def main(argv=None) -> int:
                 differing.append(label)
                 if first is None:
                     old, new = json.loads(old), json.loads(new)
-                    field = next(i for i in range(3) if old[i] != new[i])
-                    name = ("exit code", "stdout", "stderr")[field]
-                    detail = (f"{old[0]!r} != {new[0]!r}" if field == 0 else
-                              first_difference(old[field], new[field]))
+                    field = next(i for i in range(4) if old[i] != new[i])
+                    name = ("exit code", "stdout", "stderr", "written file")[field]
+                    detail = (first_difference(old[field], new[field])
+                              if field and None not in (old[field], new[field])
+                              else f"{old[field]!r} != {new[field]!r}")
                     first = f"first difference: {label}\n{name}: {detail}"
     print(f"{len(runs)} runs, {len(differing)} differ")
     for label in differing:
